@@ -2,7 +2,7 @@
 
 Usage::
 
-    operadic [--json] [--seed N] [--threads N] COMMAND ...
+    operadic [--json] [--seed N] COMMAND ...
 
 Commands:
 
@@ -374,7 +374,10 @@ def _cmd_plan(args, inputs) -> tuple[dict, list[str], int]:
             for a in outcome.agents
         }
         report["timeline"] = timeline
-        human.append(f"solved: makespan {outcome.makespan()}, objective {outcome.objective_value:g}")
+        line = f"solved: makespan {outcome.makespan()}"
+        if outcome.objective_value is not None:  # None under "feasible"
+            line += f", objective {outcome.objective_value:g}"
+        human.append(line)
         for start, binding in outcome.schedule:
             agents = ",".join(binding.agents)
             human.append(f"  t={start} {binding.name} [{agents}]")
@@ -440,7 +443,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="operadic", description=__doc__.split("\n\n")[0])
     parser.add_argument("--json", action="store_true", help="machine-readable report on stdout")
     parser.add_argument("--seed", type=int, default=None, help="override any seeded search")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (reserved)")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -517,7 +519,6 @@ def main(argv=None) -> int:
         "command": args.command,
         "version": __version__,
         "seed": args.seed,
-        "threads": args.threads,
     }
     try:
         report, human, code = args.handler(args, inputs)

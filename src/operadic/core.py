@@ -318,12 +318,6 @@ class NetOperation:
     def edge_map(self) -> dict[EdgeKey, int]:
         return dict(self.edges)
 
-    def node_of(self, slot: int, position: int) -> int:
-        for p, sj in enumerate(self.placement):
-            if sj == (slot, position):
-                return p
-        raise OperadError(f"no node at slot position ({slot}, {position})")
-
     def to_dict(self) -> dict:
         return {
             "version": 1,

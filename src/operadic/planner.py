@@ -192,6 +192,19 @@ class RiskSpec:
         return math.log(self.transition_factors.get(name, 1.0))
 
 
+def _duration(level: Level, b: TaskBinding) -> int:
+    """A task's length at ``level``: the plan level erases durations to 1."""
+    return b.duration if level is Level.TIMED else 1
+
+
+def _mvar(place: str, t: int, agent: str) -> str:
+    return f"m_{place}{t}_{agent}"
+
+
+def _fvar(agent: str, t: int) -> str:
+    return f"f_{agent}_{t}"
+
+
 # ---------------------------------------------------------------------------
 # binding enumeration
 
@@ -308,9 +321,8 @@ class ConstraintSystem:
             raise PlannerError(f"unknown objective {self.objective!r}")
         object.__setattr__(self, "goal", dict(self.goal))
 
-    # -- durations collapse at the plan level
     def duration(self, b: TaskBinding) -> int:
-        return b.duration if self.level is Level.TIMED else 1
+        return _duration(self.level, b)
 
     @property
     def places(self) -> tuple[str, ...]:
@@ -323,8 +335,9 @@ class ConstraintSystem:
     def column_labels(self) -> tuple[str, ...]:
         return tuple(f"{a.id}:{p}" for a in self.agents for p in self.places)
 
-    def update_matrix(self, duration: int | None = None) -> np.ndarray:
-        """M: per binding, -1 at each source column and +1 at each target."""
+    def _incidence(self, duration: int | None, at_source: int, at_target: int) -> np.ndarray:
+        """Per binding (optionally only those of one duration), add
+        ``at_source`` at each source column and ``at_target`` at each target."""
         rows = [
             b for b in self.bindings if duration is None or self.duration(b) == duration
         ]
@@ -332,21 +345,17 @@ class ConstraintSystem:
         m = np.zeros((len(rows), len(self.agents) * len(self.places)), dtype=int)
         for r, b in enumerate(rows):
             for agent, src, dst in b.moves:
-                m[r, self.column(index[agent], src)] -= 1
-                m[r, self.column(index[agent], dst)] += 1
+                m[r, self.column(index[agent], src)] += at_source
+                m[r, self.column(index[agent], dst)] += at_target
         return m
+
+    def update_matrix(self, duration: int | None = None) -> np.ndarray:
+        """M: per binding, -1 at each source column and +1 at each target."""
+        return self._incidence(duration, -1, 1)
 
     def source_matrix(self, duration: int | None = None) -> np.ndarray:
         """M^s: per binding, +1 at each source column."""
-        rows = [
-            b for b in self.bindings if duration is None or self.duration(b) == duration
-        ]
-        index = {a.id: i for i, a in enumerate(self.agents)}
-        m = np.zeros((len(rows), len(self.agents) * len(self.places)), dtype=int)
-        for r, b in enumerate(rows):
-            for agent, src, _ in b.moves:
-                m[r, self.column(index[agent], src)] += 1
-        return m
+        return self._incidence(duration, 1, 0)
 
     def fuel_matrix(self) -> np.ndarray:
         """F: per binding, fuel delta per agent (task costs, negated)."""
@@ -356,7 +365,7 @@ class ConstraintSystem:
         m = np.zeros((len(self.bindings), len(self.agents)))
         for r, b in enumerate(self.bindings):
             for agent, _, _ in b.moves:
-                color = next(a.color for a in self.agents if a.id == agent)
+                color = self.agents[index[agent]].color
                 m[r, index[agent]] = -self.fuel.cost(b.name, color)
         return m
 
@@ -365,42 +374,42 @@ class ConstraintSystem:
     def variable_names(self) -> dict[str, list[str]]:
         """The documented naming scheme for every decision variable."""
         m_vars = [
-            f"m_{p}{t}_{a.id}"
+            _mvar(p, t, a.id)
             for t in range(self.steps + 1)
             for a in self.agents
             for p in self.places
         ]
-        s_vars = [self._svar(bi, t) for bi, t in self._start_slots()]
+        s_vars = list(self._start_vars().values())
         f_vars = []
         if self.fuel is not None:
-            f_vars = [f"f_{a.id}_{t}" for t in range(self.steps + 1) for a in self.agents]
+            f_vars = [_fvar(a.id, t) for t in range(self.steps + 1) for a in self.agents]
         return {"m": m_vars, "s": s_vars, "f": f_vars}
 
-    def _start_slots(self) -> list[tuple[int, int]]:
-        """(binding index, start time) pairs that fit in the horizon."""
-        return [
-            (bi, t)
-            for t in range(self.steps)
-            for bi in range(len(self.bindings))
-            if t + self.duration(self.bindings[bi]) <= self.steps
-        ]
-
-    def _svar(self, bi: int, t: int) -> str:
-        b = self.bindings[bi]
-        base = f"s_{b.name}{t}d{self.duration(b)}_{b.label()}"
-        # disambiguate bindings sharing (transition, agents) by output matching
-        twins = [
-            x for x in self.bindings if x.name == b.name and x.agents == b.agents
-        ]
-        if len(twins) > 1:
-            base += f"v{twins.index(b) + 1}"
-        return base
+    def _start_vars(self) -> dict[tuple[int, int], str]:
+        """Start-variable name per (binding index, start time) pair that fits
+        in the horizon, ordered by time, then binding."""
+        # bindings sharing (transition, agents) differ only in their output
+        # matching; number them v1, v2, ... in binding order
+        twins: dict[tuple[str, tuple[str, ...]], list[int]] = {}
+        for bi, b in enumerate(self.bindings):
+            twins.setdefault((b.name, b.agents), []).append(bi)
+        suffix = {
+            bi: f"v{j + 1}"
+            for group in twins.values()
+            if len(group) > 1
+            for j, bi in enumerate(group)
+        }
+        names = {}
+        for t in range(self.steps):
+            for bi, b in enumerate(self.bindings):
+                d = self.duration(b)
+                if t + d <= self.steps:
+                    names[(bi, t)] = f"s_{b.name}{t}d{d}_{b.label()}{suffix.get(bi, '')}"
+        return names
 
     def lp_model(self) -> LpModel:
-        mvar = lambda p, t, a: f"m_{p}{t}_{a}"
         color_of = {a.id: a.color for a in self.agents}
-        slots = self._start_slots()
-        svars = {key: self._svar(*key) for key in slots}
+        svars = self._start_vars()
         constraints: list[LpConstraint] = []
         bounds: list[tuple[str, float | None, float | None]] = []
         binaries: list[str] = []
@@ -409,21 +418,20 @@ class ConstraintSystem:
         for t in range(self.steps + 1):
             for a in self.agents:
                 for p in self.places:
-                    binaries.append(mvar(p, t, a.id))
-        binaries.extend(svars[key] for key in slots)
+                    binaries.append(_mvar(p, t, a.id))
+        binaries.extend(svars.values())
 
         # initial marking
         for a in self.agents:
             for p in self.places:
-                bounds.append((mvar(p, 0, a.id), 1.0 if p == a.start else 0.0, 1.0 if p == a.start else 0.0))
+                bounds.append((_mvar(p, 0, a.id), 1.0 if p == a.start else 0.0, 1.0 if p == a.start else 0.0))
 
         departures: dict[tuple[str, str, int], list[str]] = {}
         arrivals: dict[tuple[str, str, int], list[str]] = {}
         midtask: dict[tuple[str, int], list[str]] = {}
-        for (bi, t) in slots:
+        for (bi, t), var in svars.items():
             b = self.bindings[bi]
             d = self.duration(b)
-            var = svars[(bi, t)]
             for agent, src, dst in b.moves:
                 departures.setdefault((agent, src, t), []).append(var)
                 arrivals.setdefault((agent, dst, t + d), []).append(var)
@@ -435,8 +443,8 @@ class ConstraintSystem:
             for a in self.agents:
                 for p in self.places:
                     terms: list[tuple[str, float]] = [
-                        (mvar(p, t + 1, a.id), 1.0),
-                        (mvar(p, t, a.id), -1.0),
+                        (_mvar(p, t + 1, a.id), 1.0),
+                        (_mvar(p, t, a.id), -1.0),
                     ]
                     terms += [(v, 1.0) for v in departures.get((a.id, p, t), [])]
                     terms += [(v, -1.0) for v in arrivals.get((a.id, p, t + 1), [])]
@@ -448,7 +456,7 @@ class ConstraintSystem:
                 for p in self.places:
                     starts = departures.get((a.id, p, t), [])
                     if starts:
-                        terms = [(v, 1.0) for v in starts] + [(mvar(p, t, a.id), -1.0)]
+                        terms = [(v, 1.0) for v in starts] + [(_mvar(p, t, a.id), -1.0)]
                         constraints.append(
                             LpConstraint(f"avail_{p}{t}_{a.id}", tuple(terms), "<=", 0.0)
                         )
@@ -456,14 +464,14 @@ class ConstraintSystem:
         # occupancy: at a place or mid-task, never both, always one
         for t in range(self.steps + 1):
             for a in self.agents:
-                terms = [(mvar(p, t, a.id), 1.0) for p in self.places]
+                terms = [(_mvar(p, t, a.id), 1.0) for p in self.places]
                 terms += [(v, 1.0) for v in midtask.get((a.id, t), [])]
                 constraints.append(LpConstraint(f"occ_{t}_{a.id}", tuple(terms), "=", 1.0))
 
         # goal at the final marking
         for (place, color), count in sorted(self.goal.items()):
             terms = [
-                (mvar(place, self.steps, a.id), 1.0) for a in self.agents if a.color == color
+                (_mvar(place, self.steps, a.id), 1.0) for a in self.agents if a.color == color
             ]
             constraints.append(
                 LpConstraint(f"goal_{place}_{color}", tuple(terms), ">=", float(count))
@@ -474,12 +482,12 @@ class ConstraintSystem:
         if self.objective == "min_makespan":
             generals.append("makespan")
             bounds.append(("makespan", 0.0, float(self.steps)))
-            for (bi, t) in slots:
+            for (bi, t), var in svars.items():
                 b = self.bindings[bi]
                 constraints.append(
                     LpConstraint(
-                        f"mk_{svars[(bi, t)]}",
-                        (("makespan", 1.0), (svars[(bi, t)], -float(t + self.duration(b)))),
+                        f"mk_{var}",
+                        (("makespan", 1.0), (var, -float(t + self.duration(b)))),
                         ">=",
                         0.0,
                     )
@@ -494,14 +502,14 @@ class ConstraintSystem:
                     for p in self.places:
                         w = self.risk.place_log(color_of[a.id], p)
                         if w != 0.0:
-                            objective.append((mvar(p, t, a.id), w))
-            for (bi, t) in slots:
+                            objective.append((_mvar(p, t, a.id), w))
+            for (bi, t), var in svars.items():
                 w = self.risk.transition_log(self.bindings[bi].name)
                 if w != 0.0:
-                    objective.append((svars[(bi, t)], w))
+                    objective.append((var, w))
 
         if self.fuel is not None:
-            self._fuel_rows(constraints, bounds, svars, slots, color_of)
+            self._fuel_rows(constraints, bounds, svars, color_of)
 
         return LpModel(
             sense=sense,
@@ -512,38 +520,35 @@ class ConstraintSystem:
             generals=tuple(generals),
         )
 
-    def _fuel_rows(self, constraints, bounds, svars, slots, color_of) -> None:
+    def _fuel_rows(self, constraints, bounds, svars, color_of) -> None:
         fuel = self.fuel
-        fvar = lambda a, t: f"f_{a}_{t}"
         for a in self.agents:
-            bounds.append((fvar(a.id, 0), a.fuel_init, a.fuel_init))
+            bounds.append((_fvar(a.id, 0), a.fuel_init, a.fuel_init))
             for t in range(1, self.steps + 1):
-                bounds.append((fvar(a.id, t), a.fuel_min, a.fuel_max))
+                bounds.append((_fvar(a.id, t), a.fuel_min, a.fuel_max))
 
         starts_by_agent: dict[tuple[str, int], list[tuple[str, float]]] = {}
         refuel_done: dict[tuple[str, int], list[str]] = {}
-        for (bi, t) in slots:
+        for (bi, t), var in svars.items():
             b = self.bindings[bi]
             for agent, _, _ in b.moves:
                 cost = fuel.cost(b.name, color_of[agent])
                 if cost:
-                    starts_by_agent.setdefault((agent, t), []).append((svars[(bi, t)], cost))
+                    starts_by_agent.setdefault((agent, t), []).append((var, cost))
                 if fuel.receives(b.name, color_of[agent]):
-                    refuel_done.setdefault((agent, t + self.duration(b)), []).append(
-                        svars[(bi, t)]
-                    )
+                    refuel_done.setdefault((agent, t + self.duration(b)), []).append(var)
 
         for a in self.agents:
             for t in range(self.steps):
                 # linear part: f_{t+1} = f_t - waiting burn - task costs
                 terms: list[tuple[str, float]] = [
-                    (fvar(a.id, t + 1), 1.0),
-                    (fvar(a.id, t), -1.0),
+                    (_fvar(a.id, t + 1), 1.0),
+                    (_fvar(a.id, t), -1.0),
                 ]
                 for p in self.places:
                     rate = fuel.rate(a.color, p)
                     if rate and (self.level is Level.TIMED):
-                        terms.append((f"m_{p}{t}_{a.id}", rate))
+                        terms.append((_mvar(p, t, a.id), rate))
                 terms += [(v, c) for v, c in starts_by_agent.get((a.id, t), [])]
                 hats = refuel_done.get((a.id, t + 1), [])
                 if not hats:
@@ -554,10 +559,29 @@ class ConstraintSystem:
                     # refuel completion overrides the update: big-M on R
                     up = tuple(terms + [(v, -a.fuel_max) for v in hats])
                     dn = tuple(terms + [(v, a.fuel_max) for v in hats])
-                    at = tuple([(fvar(a.id, t + 1), 1.0)] + [(v, -a.fuel_max) for v in hats])
+                    at = tuple([(_fvar(a.id, t + 1), 1.0)] + [(v, -a.fuel_max) for v in hats])
                     constraints.append(LpConstraint(f"fuel_{t}_{a.id}_ub", up, "<=", 0.0))
                     constraints.append(LpConstraint(f"fuel_{t}_{a.id}_lb", dn, ">=", 0.0))
                     constraints.append(LpConstraint(f"fuel_{t}_{a.id}_set", at, ">=", 0.0))
+
+
+def _compile(
+    level: Level,
+    template: TaskingTemplate,
+    agents: Sequence[Agent],
+    steps: int,
+    goal: Mapping[tuple[str, str], int] | None,
+    objective: str,
+) -> ConstraintSystem:
+    return ConstraintSystem(
+        level,
+        template,
+        tuple(agents),
+        steps,
+        enumerate_bindings(template, agents),
+        goal or {},
+        objective,
+    )
 
 
 def compile_untimed(
@@ -568,15 +592,7 @@ def compile_untimed(
     objective: str = "feasible",
 ) -> ConstraintSystem:
     """Plan-level system: durations erased, one batch per step."""
-    return ConstraintSystem(
-        Level.PLAN,
-        template,
-        tuple(agents),
-        steps,
-        enumerate_bindings(template, agents),
-        goal or {},
-        objective,
-    )
+    return _compile(Level.PLAN, template, agents, steps, goal, objective)
 
 
 def compile_timed(
@@ -587,15 +603,7 @@ def compile_timed(
     objective: str = "feasible",
 ) -> ConstraintSystem:
     """Timed system: durations respected, tasks must finish by the horizon."""
-    return ConstraintSystem(
-        Level.TIMED,
-        template,
-        tuple(agents),
-        horizon,
-        enumerate_bindings(template, agents),
-        goal or {},
-        objective,
-    )
+    return _compile(Level.TIMED, template, agents, horizon, goal, objective)
 
 
 def add_fuel_semantics(cs: ConstraintSystem, fuel: FuelSpec) -> ConstraintSystem:
@@ -630,10 +638,7 @@ class Solution:
     objective_value: float | None = None
 
     def makespan(self) -> int:
-        if not self.schedule:
-            return 0
-        dur = (lambda b: b.duration) if self.level is Level.TIMED else (lambda b: 1)
-        return max(t + dur(b) for t, b in self.schedule)
+        return max((t + _duration(self.level, b) for t, b in self.schedule), default=0)
 
     def tasks_at(self, t: int) -> list[TaskBinding]:
         return [b for s, b in self.schedule if s == t]
@@ -721,6 +726,7 @@ class _Search:
         self.deepest = -1
         self.conflicts: set[str] = set()
         self.color_of = {a.id: a.color for a in cs.agents}
+        self.agents_by_id = {a.id: a for a in cs.agents}
         self.durations = [cs.duration(b) for b in cs.bindings]
 
     # conflict bookkeeping keeps only the deepest frontier
@@ -731,34 +737,31 @@ class _Search:
         elif t == self.deepest:
             self.conflicts.add(reason)
 
-    def _fuel_step(self, fuel: dict[str, float], positions, started, t: int) -> str | None:
+    def _fuel_step(self, fuel: dict[str, float], positions, started) -> None:
+        """Charge one tick in place: waiting burn, then task costs, then the clamp."""
         spec = self.cs.fuel
-        busy_new: list[tuple[str, float]] = []
+        if self.cs.level is Level.TIMED:
+            for agent, place in positions.items():
+                if place is not None:
+                    fuel[agent] -= spec.rate(self.color_of[agent], place)
         for bi in started:
             b = self.cs.bindings[bi]
             for agent, _, _ in b.moves:
                 cost = spec.cost(b.name, self.color_of[agent])
                 if cost:
-                    busy_new.append((agent, cost))
-        for agent, place in positions.items():
-            if place is not None and self.cs.level is Level.TIMED:
-                fuel[agent] -= spec.rate(self.color_of[agent], place)
-        for agent, cost in busy_new:
-            fuel[agent] -= cost
-        agents_by_id = {a.id: a for a in self.cs.agents}
+                    fuel[agent] -= cost
         for agent in fuel:
-            cap = agents_by_id[agent].fuel_max
+            cap = self.agents_by_id[agent].fuel_max
             if spec.literal_update:
                 fuel[agent] = max(fuel[agent], cap)
             else:
                 fuel[agent] = min(fuel[agent], cap)
-        return None
 
     def _check_reserve(self, fuel: dict[str, float], t: int) -> str | None:
-        agents_by_id = {a.id: a for a in self.cs.agents}
         for agent, level in fuel.items():
-            if level < agents_by_id[agent].fuel_min - 1e-9:
-                return f"fuel of {agent} below reserve at step {t} ({level:g} < {agents_by_id[agent].fuel_min:g})"
+            reserve = self.agents_by_id[agent].fuel_min
+            if level < reserve - 1e-9:
+                return f"fuel of {agent} below reserve at step {t} ({level:g} < {reserve:g})"
         return None
 
     def startable(self, positions: Mapping[str, str | None], t: int) -> list[int]:
@@ -799,10 +802,12 @@ class _Search:
             return Infeasible(tuple(sorted(self.conflicts)), max(self.deepest, 0))
         return self.best[1]
 
+    def _makespan(self, schedule) -> float:
+        return float(max((t + self.durations[bi] for t, bi in schedule), default=0))
+
     def _score(self, schedule, risk_log) -> float:
         if self.cs.objective == "min_makespan":
-            dur = self.durations
-            return float(max((t + dur[bi] for t, bi in schedule), default=0))
+            return self._makespan(schedule)
         if self.cs.objective == "max_survival":
             return -risk_log  # stored negated so lower is better
         return 0.0
@@ -836,9 +841,7 @@ class _Search:
         if self.cs.objective == "feasible":
             return True  # any feasible solution suffices
         if self.cs.objective == "min_makespan":
-            dur = self.durations
-            lower = float(max((s + dur[bi] for s, bi in schedule), default=0))
-            return lower >= self.best[0] - 1e-12
+            return self._makespan(schedule) >= self.best[0] - 1e-12
         if self.cs.objective == "max_survival":
             # optimistic: no further survival loss
             return -risk_log >= self.best[0] - 1e-12
@@ -903,15 +906,14 @@ class _Search:
                 new_busy[agent] = (t + self.durations[bi], dst, b.name)
         new_fuel = dict(fuel) if fuel is not None else None
         if new_fuel is not None:
-            self._fuel_step(new_fuel, positions, started, t)
+            self._fuel_step(new_fuel, positions, started)
         # completions land at t + 1
         for agent, (release, dst, via) in list(new_busy.items()):
             if release == t + 1:
                 new_positions[agent] = dst
                 del new_busy[agent]
                 if new_fuel is not None and cs.fuel.receives(via, self.color_of[agent]):
-                    cap = next(a.fuel_max for a in cs.agents if a.id == agent)
-                    new_fuel[agent] = cap
+                    new_fuel[agent] = self.agents_by_id[agent].fuel_max
         if new_fuel is not None:
             bad = self._check_reserve(new_fuel, t + 1)
             if bad is not None:
@@ -939,45 +941,42 @@ def solve(cs: ConstraintSystem, node_cap: int = DEFAULT_NODE_CAP):
 
 def solve_all(cs: ConstraintSystem, limit: int, node_cap: int = DEFAULT_NODE_CAP):
     """All feasible solutions in deterministic order, up to ``limit``."""
-    search = _Search(cs, node_cap, collect_all=limit)
-    result = search.run()
-    if isinstance(result, (Infeasible, Undecided)):
-        return result
-    return result
+    return _Search(cs, node_cap, collect_all=limit).run()
 
 
 # ---------------------------------------------------------------------------
 # level changes
 
 
-def _plan_feasible(template, agents, schedule_batches, goal) -> Solution | None:
-    """Re-run an untimed batch sequence; None when some batch cannot fire."""
+def _replay(template, agents, level: Level, steps: int, schedule) -> Solution | None:
+    """Re-run a (start, binding) schedule tick by tick, keeping its order.
+
+    None when some task finds an agent away from its source, or is still
+    running at ``steps``.  Completions land at t + 1, exactly like the solver.
+    """
     positions = {a.id: a.start for a in agents}
+    busy: dict[str, tuple[int, str]] = {}
     markings = [TypeVector.of(positions)]
-    flat: list[tuple[int, TaskBinding]] = []
-    for j, batch in enumerate(schedule_batches):
-        used: set[str] = set()
-        for b in batch:
-            for agent, src, _ in b.moves:
-                if positions.get(agent) != src or agent in used:
+    for t in range(steps):
+        for b in (b for s, b in schedule if s == t):
+            for agent, src, dst in b.moves:
+                if positions.get(agent) != src:
                     return None
-                used.add(agent)
-        for b in batch:
-            for agent, _, dst in b.moves:
+                positions[agent] = None
+                busy[agent] = (t + _duration(level, b), dst)
+        for agent, (release, dst) in list(busy.items()):
+            if release == t + 1:
                 positions[agent] = dst
-            flat.append((j, b))
+                del busy[agent]
         markings.append(TypeVector.of(positions))
-    color_of = {a.id: a.color for a in agents}
-    for (place, color), want in goal.items():
-        have = sum(1 for ag, p in positions.items() if p == place and color_of[ag] == color)
-        if have < want:
-            return None
+    if busy:
+        return None
     return Solution(
-        level=Level.PLAN,
-        steps=len(schedule_batches),
+        level=level,
+        steps=steps,
         template=template,
         agents=tuple(agents),
-        schedule=tuple(flat),
+        schedule=tuple(schedule),
         markings=tuple(markings),
     )
 
@@ -990,12 +989,9 @@ def project(sol: Solution | CountsSolution, to_level: Level):
         raise PlannerError("project only coarsens (timed -> plan -> counts)")
 
     if sol.level is Level.TIMED:
-        starts = sorted({t for t, _ in sol.schedule})
-        rank = {t: j for j, t in enumerate(starts)}
-        batches: list[list[TaskBinding]] = [[] for _ in starts]
-        for t, b in sol.schedule:
-            batches[rank[t]].append(b)
-        plan = _plan_feasible(sol.template, sol.agents, batches, {})
+        rank = {t: j for j, t in enumerate(sorted({t for t, _ in sol.schedule}))}
+        schedule = sorted(((rank[t], b) for t, b in sol.schedule), key=lambda jb: jb[0])
+        plan = _replay(sol.template, sol.agents, Level.PLAN, len(rank), schedule)
         if plan is None:
             raise PlannerError("projection produced an infeasible plan")
         if to_level is Level.PLAN:
@@ -1146,7 +1142,8 @@ def _lift_counts_to_plan(counts: CountsSolution, agents: tuple[Agent, ...], cap:
             truncated = True
             return
         if j == steps:
-            plan = _plan_feasible(counts.template, agents, batches, {})
+            schedule = [(k, b) for k, batch in enumerate(batches) for b in batch]
+            plan = _replay(counts.template, agents, Level.PLAN, steps, schedule)
             if plan is not None and _counts_match(plan, counts):
                 out.append(plan)
             return
@@ -1175,10 +1172,6 @@ def _counts_match(plan: Solution, counts: CountsSolution) -> bool:
     return project(plan, Level.COUNTS).schedule == counts.schedule
 
 
-def _plan_multiset(plan: Solution):
-    return tuple(sorted((j, b.name, b.agents, b.moves) for j, b in plan.schedule))
-
-
 def _lift_plan_to_timed(plan: Solution, horizon: int, cap: int) -> LiftResult:
     """Choose strictly increasing start times for each batch of the plan."""
     batches: dict[int, list[TaskBinding]] = {}
@@ -1189,46 +1182,18 @@ def _lift_plan_to_timed(plan: Solution, horizon: int, cap: int) -> LiftResult:
     out: list[Solution] = []
     truncated = False
 
-    def simulate(starts: list[int]) -> Solution | None:
-        schedule = sorted(
-            ((starts[j], b) for j, batch in enumerate(ordered) for b in batch),
-            key=lambda tb: (tb[0], tb[1].tindex, tb[1].agents),
-        )
-        positions = {a.id: a.start for a in plan.agents}
-        busy: dict[str, tuple[int, str]] = {}
-        markings = [TypeVector.of(positions)]
-        for t in range(horizon):
-            for b in (b for s, b in schedule if s == t):
-                for agent, src, dst in b.moves:
-                    if positions.get(agent) != src:
-                        return None
-                    positions[agent] = None
-                    busy[agent] = (t + b.duration, dst)
-            # completions land at t + 1, exactly like the solver
-            for agent, (release, dst) in list(busy.items()):
-                if release == t + 1:
-                    positions[agent] = dst
-                    del busy[agent]
-            markings.append(TypeVector.of(positions))
-        if busy:
-            return None
-        return Solution(
-            level=Level.TIMED,
-            steps=horizon,
-            template=plan.template,
-            agents=plan.agents,
-            schedule=tuple(schedule),
-            markings=tuple(markings),
-        )
-
     def choose(j: int, earliest: int, starts: list[int]):
         nonlocal truncated
         if len(out) >= cap:
             truncated = True
             return
         if j == len(ordered):
-            sol = simulate(starts)
-            if sol is not None and _plan_multiset(project(sol, Level.PLAN)) == _plan_multiset(plan):
+            schedule = sorted(
+                ((starts[k], b) for k, batch in enumerate(ordered) for b in batch),
+                key=lambda tb: (tb[0], tb[1].tindex, tb[1].agents),
+            )
+            sol = _replay(plan.template, plan.agents, Level.TIMED, horizon, schedule)
+            if sol is not None and _schedule_key(project(sol, Level.PLAN)) == _schedule_key(plan):
                 out.append(sol)
             return
         max_d = max(b.duration for b in ordered[j])
@@ -1333,10 +1298,7 @@ def load_plan_scenario(path: str | Path) -> PlanScenario:
 
 
 def compile_scenario(template: TaskingTemplate, scenario: PlanScenario, level: Level = Level.TIMED) -> ConstraintSystem:
-    if level is Level.TIMED:
-        cs = compile_timed(template, scenario.agents, scenario.horizon, scenario.goal, scenario.objective)
-    else:
-        cs = compile_untimed(template, scenario.agents, scenario.horizon, scenario.goal, scenario.objective)
+    cs = _compile(level, template, scenario.agents, scenario.horizon, scenario.goal, scenario.objective)
     if scenario.fuel is not None:
         cs = add_fuel_semantics(cs, scenario.fuel)
     if scenario.risk is not None:

@@ -145,15 +145,6 @@ class WiringOp:
         return notes
 
 
-def identity_wiring(boundary: Boundary) -> WiringOp:
-    """Wires every outer port straight through to one inner copy."""
-    inner = Boundary(boundary.name + ".inner", boundary.ports)
-    wires = [
-        frozenset({(boundary.name, p.name), (inner.name, p.name)}) for p in boundary.ports
-    ]
-    return WiringOp(boundary, (inner,), tuple(wires))
-
-
 class _UnionFind:
     def __init__(self):
         self.parent: dict = {}

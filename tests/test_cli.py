@@ -250,6 +250,20 @@ class TestPlan:
         assert doc["report"]["status"] == "infeasible"
         assert doc["report"]["conflicts"]
 
+    def test_default_feasible_objective_reports_null(self, capsys, tmp_path):
+        scenario = json.loads((DATA / "rescue_scenario.json").read_text())
+        del scenario["objective"]  # the dialect's default is "feasible"
+        path = tmp_path / "feasible.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run(
+            capsys, "--json", "plan", str(DATA / "rescue_tasking.json"), str(path)
+        )
+        assert code == 0
+        doc = json.loads(out)  # would raise on an empty or doubled stdout
+        assert doc["report"]["status"] == "solved"
+        assert doc["report"]["objective_value"] is None
+        assert "solved: makespan" in err
+
     def test_lp_export_skips_solving_and_round_trips(self, capsys, tmp_path):
         out = tmp_path / "rescue.lp"
         code, doc, _ = run_json(

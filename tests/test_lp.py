@@ -130,6 +130,30 @@ class TestPlannerExport:
         assert names["m"][-1] == "m_d1_u1"
         assert names["s"] == ["s_t10d1_u1", "s_t20d1_u1"]
 
+    def test_twin_bindings_get_numbered_start_variables(self):
+        # two bindings share (split, u1.u2) and differ only in who lands where
+        template = TaskingTemplate(
+            ("uh60",),
+            ("a", "b", "c"),
+            (
+                Transition(
+                    "split",
+                    (TokenFlow("uh60", "a", 2),),
+                    (TokenFlow("uh60", "b", 1), TokenFlow("uh60", "c", 1)),
+                    2,
+                ),
+            ),
+        )
+        fleet = (Agent("u1", "uh60", "a"), Agent("u2", "uh60", "a"))
+        cs = compile_timed(template, fleet, 3)
+        assert cs.variable_names()["s"] == [
+            "s_split0d2_u1.u2v1",
+            "s_split0d2_u1.u2v2",
+            "s_split1d2_u1.u2v1",
+            "s_split1d2_u1.u2v2",
+        ]
+        assert set(cs.variable_names()["s"]) <= set(cs.lp_model().binaries)
+
     def test_export_mentions_every_section(self):
         cs = compile_timed(
             tiny_template(),

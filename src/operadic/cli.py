@@ -22,11 +22,13 @@ Commands:
   be a full task description or a bare scenario plus a ``--budget`` flag.
 
 Exit codes: 0 on success, 1 on usage or input errors, 2 when a plan search
-ends infeasible or undecided.  Standard output stays machine-clean: it
-carries exactly one JSON document when ``--json`` is given and nothing
-otherwise; all human-readable tables and diagnostics go to stderr.  Reports
-are byte-identical across reruns except for the ``timing_s`` field, and
-embed the SHA-256 of each input file consumed.
+ends infeasible or undecided.  Any other exception is an internal error: it
+also exits 1, with ``internal error: TYPE: MESSAGE`` as the envelope's
+error.  Standard output stays machine-clean: it carries exactly one JSON
+document when ``--json`` is given and nothing otherwise; all human-readable
+tables and diagnostics go to stderr.  Reports are byte-identical across
+reruns except for the ``timing_s`` field, and embed the SHA-256 of each
+input file consumed.
 
 Composition scripts are line-oriented: ``#`` starts a comment, ``type
 COLOR...`` fixes the current output word, and every other line is
@@ -50,6 +52,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -133,9 +136,12 @@ def _read_text(inputs: dict[str, str], path: str) -> str:
 def _read_json(inputs: dict[str, str], path: str):
     text = _read_text(inputs, path)
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):  # every input dialect is a JSON object
+        raise UsageError(f"{path}: expected a JSON object at the top level, got {type(data).__name__}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +536,13 @@ def main(argv=None) -> int:
     except INPUT_ERRORS as exc:
         envelope.update(ok=False, inputs=inputs, error=str(exc))
         print(f"operadic: invalid input: {exc}", file=sys.stderr)
+        _emit(args, envelope, [], started)
+        return 1
+    except Exception as exc:  # a fault in operadic itself: still one envelope, exit 1
+        error = f"internal error: {type(exc).__name__}: {exc}"
+        envelope.update(ok=False, inputs=inputs, error=error)
+        traceback.print_exc(file=sys.stderr)
+        print(f"operadic: {error}", file=sys.stderr)
         _emit(args, envelope, [], started)
         return 1
     envelope.update(ok=code == 0, inputs=inputs, report=report)

@@ -1243,6 +1243,13 @@ def parse_plan_scenario(data: Mapping | str) -> PlanScenario:
     unknown = set(data) - {"version", "agents", "horizon", "objective", "goal", "fuel", "risk"}
     if unknown:
         raise PlannerError(f"scenario: unknown keys {sorted(unknown)}")
+    horizon = data.get("horizon")
+    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
+        raise PlannerError(f"scenario: \"horizon\" must be an integer >= 0, got {horizon!r}")
+    for i, raw in enumerate(data.get("agents", [])):
+        for key in ("id", "color", "start"):
+            if not isinstance(raw, Mapping) or key not in raw:
+                raise PlannerError(f"scenario: agent {i} has no {key!r}")
     agents = tuple(
         Agent(
             id=raw["id"],
@@ -1285,7 +1292,7 @@ def parse_plan_scenario(data: Mapping | str) -> PlanScenario:
         )
     return PlanScenario(
         agents=agents,
-        horizon=int(data["horizon"]),
+        horizon=horizon,
         objective=data.get("objective", "feasible"),
         goal=goal,
         fuel=fuel,

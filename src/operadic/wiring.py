@@ -10,7 +10,10 @@ The requirements layer works over finite grids only: a requirement restricts
 the values of some boundary's ports to unions of closed intervals, joint
 validity enumerates internal states (one value per wire class) satisfying
 all component requirements, and the soundness check asks whether every
-jointly valid state also satisfies the outer requirements.
+jointly valid state also satisfies the outer requirements.  Each interval
+test reads one port, hence one wire, so requirements are unary on wires:
+the jointly valid states are the product of each wire's admitted grid
+values, and the full grid product is never walked.
 
 Port direction is carried and linted (an all-``in`` wire is suspicious) but
 never enforced; the LSI-style diagrams this models treat wires as shared
@@ -287,12 +290,9 @@ class Requirement:
             norm[port] = spans
         object.__setattr__(self, "intervals", norm)
 
-    def admits(self, values: Mapping[str, float]) -> bool:
-        for port, spans in self.intervals.items():
-            v = values[port]
-            if not any(lo <= v <= hi for lo, hi in spans):
-                return False
-        return True
+
+def _in_spans(value: float, spans: Sequence[tuple[float, float]]) -> bool:
+    return any(lo <= value <= hi for lo, hi in spans)
 
 
 @dataclass(frozen=True)
@@ -303,9 +303,6 @@ class ValidityResult:
     @property
     def count(self) -> int:
         return len(self.states)
-
-    def as_dicts(self) -> list[dict[str, float]]:
-        return [dict(zip(self.labels, s)) for s in self.states]
 
 
 def _resolve_requirements(op: WiringOp, reqs: Sequence[Requirement]) -> list[tuple[Requirement, dict[str, int]]]:
@@ -330,7 +327,9 @@ def joint_validity(
     """Enumerate internal states (one value per wire) meeting every requirement.
 
     ``grid`` supplies the finite sample set per value space; every wire's
-    space must be present.
+    space must be present.  Each requirement port constrains one wire only,
+    so the valid states are the product of each wire's admitted samples, in
+    the lexicographic order of the full grid.
     """
     samples = []
     for wire in op.wires:
@@ -342,19 +341,11 @@ def joint_validity(
         if not grid[space]:
             raise WiringError(f"grid for {space!r} is empty")
         samples.append(tuple(grid[space]))
-    resolved = _resolve_requirements(op, reqs)
+    for req, port_to_wire in _resolve_requirements(op, reqs):
+        for port, w in port_to_wire.items():
+            samples[w] = tuple(v for v in samples[w] if _in_spans(v, req.intervals[port]))
     labels = tuple(op.wire_label(w) for w in op.wires)
-    valid = []
-    for state in itertools.product(*samples):
-        ok = True
-        for req, port_to_wire in resolved:
-            values = {port: state[w] for port, w in port_to_wire.items()}
-            if not req.admits(values):
-                ok = False
-                break
-        if ok:
-            valid.append(tuple(state))
-    return ValidityResult(labels, tuple(valid))
+    return ValidityResult(labels, tuple(itertools.product(*samples)))
 
 
 @dataclass(frozen=True)
@@ -396,8 +387,7 @@ def soundness_check(
     counterexamples = []
     for state in joint.states:
         for req, port_to_wire in resolved:
-            values = {port: state[w] for port, w in port_to_wire.items()}
-            if not req.admits(values):
+            if not all(_in_spans(state[w], req.intervals[p]) for p, w in port_to_wire.items()):
                 counterexamples.append((dict(zip(joint.labels, state)), req.name))
     return SoundnessReport(not counterexamples, joint.count, tuple(counterexamples))
 
@@ -465,35 +455,72 @@ def load_wiring_bundle(path: str | Path) -> dict[str, WiringOp]:
     return parse_wiring_bundle(json.loads(Path(path).read_text()))
 
 
+_JSON_KINDS = {"object": Mapping, "list": list, "string": str, "number": (int, float)}
+
+
+def _typed(where: str, value, kind: str):
+    """Return ``value`` if it has the JSON ``kind`` (a boolean is no number)."""
+    if isinstance(value, _JSON_KINDS[kind]) and not isinstance(value, bool):
+        return value
+    raise WiringError(f"{where}: expected {kind}, got {type(value).__name__}")
+
+
+def _key(where: str, raw: Mapping, key: str, kind: str, default=None):
+    """Read ``raw[key]`` as a ``kind``; required unless a ``default`` is given."""
+    if key not in raw:
+        if default is None:
+            raise WiringError(f"{where}: missing key {key!r}")
+        return default
+    return _typed(f"{where}.{key}", raw[key], kind)
+
+
 def parse_requirements_bundle(
     data: Mapping | str,
 ) -> tuple[list[Requirement], list[Requirement], dict[str, list[float]]]:
-    """Parse ``{"version": 1, "components": [...], "outer": [...], "grid": {...}}``."""
+    """Parse ``{"version": 1, "components": [...], "outer": [...], "grid": {...}}``.
+
+    Each requirement is ``{"boundary": B, "name": N, "intervals": {port:
+    [[lo, hi], ...]}}``; the grid maps a value space to a list of numbers.
+    """
     if isinstance(data, str):
         data = json.loads(data)
+    data = _typed("requirements", data, "object")
     if data.get("version") != 1:
         raise WiringError(f"requirements: expected \"version\": 1, got {data.get('version')!r}")
     unknown = set(data) - {"version", "components", "outer", "grid"}
     if unknown:
         raise WiringError(f"requirements: unknown keys {sorted(unknown)}")
 
-    def parse_reqs(raw_list) -> list[Requirement]:
+    def parse_span(where: str, span) -> tuple[float, float]:
+        span = _typed(where, span, "list")
+        if len(span) != 2:
+            raise WiringError(f"{where}: an interval is a [lo, hi] pair, got {span!r}")
+        return (_typed(where, span[0], "number"), _typed(where, span[1], "number"))
+
+    def parse_reqs(key: str) -> list[Requirement]:
         out = []
-        for raw in raw_list:
+        for i, raw in enumerate(_key("requirements", data, key, "list", [])):
+            where = f"{key}[{i}]"
+            raw = _typed(where, raw, "object")
+            intervals = {}
+            for port, spans in _key(where, raw, "intervals", "object").items():
+                at = f"{where}.intervals.{port}"
+                intervals[port] = tuple(parse_span(at, span) for span in _typed(at, spans, "list"))
             out.append(
                 Requirement(
-                    boundary=raw["boundary"],
-                    name=raw["name"],
-                    intervals={
-                        port: tuple((lo, hi) for lo, hi in spans)
-                        for port, spans in raw["intervals"].items()
-                    },
+                    boundary=_key(where, raw, "boundary", "string"),
+                    name=_key(where, raw, "name", "string"),
+                    intervals=intervals,
                 )
             )
         return out
 
-    grid = {space: [float(v) for v in values] for space, values in data.get("grid", {}).items()}
-    return parse_reqs(data.get("components", [])), parse_reqs(data.get("outer", [])), grid
+    grid = {
+        space: [float(_typed(f"grid.{space}", v, "number"))
+                for v in _typed(f"grid.{space}", values, "list")]
+        for space, values in _key("requirements", data, "grid", "object", {}).items()
+    }
+    return parse_reqs("components"), parse_reqs("outer"), grid
 
 
 def load_requirements_bundle(path: str | Path):

@@ -6,7 +6,9 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from operadic import cli
 from operadic.cli import main
 from operadic.lp import parse_lp, write_lp
 
@@ -329,3 +331,153 @@ class TestSynthesize:
         )
         assert code == 1
         assert "--budget" in err
+
+
+def write_json(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def soundness_json(capsys, requirements_path):
+    code, out, err = run(
+        capsys, "--json", "analyze", "soundness", str(DATA / "lsi_wiring.json"),
+        "flat_functional", requirements_path,
+    )
+    return code, json.loads(out), err  # json.loads rejects an empty or doubled stdout
+
+
+def json_paths(node, path=()):
+    """Every (path, value) in a JSON document, the root included."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+def mutate(doc, path, kind):
+    """Apply one mutation at ``path``; None when it does not apply there."""
+    doc = json.loads(json.dumps(doc))
+    parent, key = None, None
+    node = doc
+    for step in path:
+        parent, key, node = node, step, node[step]
+    if kind == "drop":
+        if not isinstance(parent, dict):
+            return None
+        del parent[key]
+        return doc
+    if kind == "negate":
+        if isinstance(node, bool) or not isinstance(node, (int, float)):
+            return None
+        new = -node
+    elif kind == "swap":
+        if isinstance(node, dict):
+            new = list(node.values())
+        elif isinstance(node, list):
+            new = {str(i): v for i, v in enumerate(node)}
+        else:
+            return None
+    else:  # wrong type: a string where anything else was, a number for a string
+        new = 7 if isinstance(node, str) else "x"
+    if parent is None:
+        return new
+    parent[key] = new
+    return doc
+
+
+REQUIREMENTS = json.loads((DATA / "lsi_requirements.json").read_text())
+REQUIREMENT_PATHS = [path for path, _ in json_paths(REQUIREMENTS)]
+
+
+class TestRequirementsDialect:
+    def test_requirement_without_intervals(self, capsys, tmp_path):
+        data = json.loads(json.dumps(REQUIREMENTS))
+        del data["components"][1]["intervals"]
+        code, doc, err = soundness_json(capsys, write_json(tmp_path, "r.json", data))
+        assert code == 1 and doc["ok"] is False
+        assert "components[1]" in doc["error"] and "intervals" in doc["error"]
+        assert "Traceback" not in err
+
+    def test_interval_with_three_numbers(self, capsys, tmp_path):
+        data = json.loads(json.dumps(REQUIREMENTS))
+        data["outer"][0]["intervals"]["temp2"] = [[1, 2, 3]]
+        code, doc, _ = soundness_json(capsys, write_json(tmp_path, "r.json", data))
+        assert code == 1 and doc["ok"] is False
+        assert "[lo, hi] pair" in doc["error"]
+
+    def test_grid_value_that_is_not_a_number(self, capsys, tmp_path):
+        data = json.loads(json.dumps(REQUIREMENTS))
+        data["grid"]["temperature"] = [19.9, "x"]
+        code, doc, _ = soundness_json(capsys, write_json(tmp_path, "r.json", data))
+        assert code == 1 and doc["ok"] is False
+        assert "grid.temperature" in doc["error"]
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        path=st.sampled_from(REQUIREMENT_PATHS),
+        kind=st.sampled_from(["drop", "wrong_type", "negate", "swap"]),
+    )
+    def test_mutated_bundle_ends_in_one_envelope(self, capsys, tmp_path, path, kind):
+        data = mutate(REQUIREMENTS, path, kind)
+        if data is None:
+            return
+        code, doc, _ = soundness_json(capsys, write_json(tmp_path, "mutant.json", data))
+        assert code in (0, 1)
+        assert doc["ok"] is (code == 0)
+        # the dialect reader, not the catch-all, must reject a bad bundle
+        assert not doc.get("error", "").startswith("internal error")
+
+
+class TestInputContract:
+    def test_top_level_array_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "--json", "validate", "requirements", write_json(tmp_path, "a.json", [1, 2])
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert "JSON object" in doc["error"]
+        assert "Traceback" not in err
+
+    def test_agent_without_id_names_its_index(self, capsys, tmp_path):
+        scenario = json.loads((DATA / "rescue_scenario.json").read_text())
+        del scenario["agents"][1]["id"]
+        code, out, _ = run(
+            capsys, "--json", "plan", str(DATA / "rescue_tasking.json"),
+            write_json(tmp_path, "s.json", scenario),
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert "agent 1" in doc["error"] and "'id'" in doc["error"]
+
+    def test_validate_rejects_negative_horizon(self, capsys, tmp_path):
+        scenario = json.loads((DATA / "rescue_scenario.json").read_text())
+        scenario["horizon"] = -1
+        code, out, _ = run(
+            capsys, "--json", "validate", "plan-scenario", write_json(tmp_path, "s.json", scenario)
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert "horizon" in doc["error"]
+
+    def test_unexpected_exception_becomes_an_internal_error_envelope(self, capsys, monkeypatch):
+        def broken(args, inputs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_validate", broken)
+        code, out, err = run(
+            capsys, "--json", "validate", "catalog", str(DATA / "sailboat_catalog.json")
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert doc["error"] == "internal error: RuntimeError: boom"
+        assert "internal error" in err

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from pathlib import Path
 
 import pytest
@@ -289,3 +291,83 @@ def test_bundle_rejects_unknown_boundary():
                 "operations": {"f": {"outer": "X", "inner": [], "wires": []}},
             }
         )
+
+
+# ---------------------------------------------------------------------------
+# brute-force reference for the requirements layer
+
+
+def reference_soundness(op, comps, outer, grid):
+    """Brute force: test every state of the full grid product against whole
+    requirements.  Returns (labels, valid states, ordered counterexamples).
+    """
+    wires = list(op.wires)
+    labels = tuple(op.wire_label(w) for w in wires)
+
+    def admits(req, state):
+        boundary = op.boundary(req.boundary)
+        return all(
+            any(lo <= state[wires.index(op.wire_of((boundary.name, port)))] <= hi for lo, hi in spans)
+            for port, spans in req.intervals.items()
+        )
+
+    samples = [tuple(grid[op.wire_space(w)]) for w in wires]
+    valid = tuple(s for s in itertools.product(*samples) if all(admits(r, s) for r in comps))
+    counterexamples = tuple(
+        (dict(zip(labels, s)), r.name) for s in valid for r in outer if not admits(r, s)
+    )
+    return labels, valid, counterexamples
+
+
+GRID_VALUES = (-1.0, 0.0, 0.5, 1.0, 2.0)
+
+
+def random_requirement(rng, boundary, name):
+    ports = rng.sample([p.name for p in boundary.ports], rng.randint(1, min(2, len(boundary.ports))))
+    intervals = {}
+    for port in ports:
+        spans = []
+        for _ in range(rng.randint(1, 2)):
+            lo = round(rng.uniform(-2.0, 1.5), 1)
+            spans.append((lo, round(lo + rng.uniform(1.0, 4.0), 1)))
+        intervals[port] = spans
+    return Requirement(boundary.name, name, intervals)
+
+
+def random_instance(rng, ops, max_states=1500):
+    """A diagram from the LSI bundle, a small grid and 0-4 requirements of each kind."""
+    op = ops[rng.choice(sorted(ops))]
+    spaces = sorted({op.wire_space(w) for w in op.wires})
+    # duplicates and unsorted values are allowed: order must survive filtering
+    grid = {s: rng.choices(GRID_VALUES, k=rng.randint(1, 3)) for s in spaces}
+    while True:
+        size = {s: len(v) for s, v in grid.items()}
+        if math.prod(size[op.wire_space(w)] for w in op.wires) <= max_states:
+            break
+        biggest = max(spaces, key=lambda s: (size[s], s))
+        grid[biggest] = grid[biggest][:-1]
+    boundaries = (op.outer,) + op.inner
+    comps = [
+        random_requirement(rng, rng.choice(boundaries), f"c{i}") for i in range(rng.randint(0, 4))
+    ]
+    outer = [random_requirement(rng, op.outer, f"o{i}") for i in range(rng.randint(0, 4))]
+    return op, comps, outer, grid
+
+
+def test_requirements_layer_matches_brute_force_reference(lsi):
+    rng = random.Random(20240605)
+    nonempty = unsound = 0
+    for _ in range(220):
+        op, comps, outer, grid = random_instance(rng, lsi)
+        labels, valid, counterexamples = reference_soundness(op, comps, outer, grid)
+        joint = joint_validity(op, comps, grid)
+        assert joint.labels == labels
+        assert joint.states == valid
+        report = soundness_check(op, comps, outer, grid)
+        assert report.checked == len(valid)
+        assert report.counterexamples == counterexamples
+        assert report.sound == (not counterexamples)
+        nonempty += bool(valid)
+        unsound += not report.sound
+    # the generator must reach both verdicts on non-empty valid sets
+    assert nonempty > 80 and 20 < unsound < nonempty - 20

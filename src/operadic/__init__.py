@@ -16,6 +16,7 @@ The package splits into layers:
   format.
 * :mod:`operadic.synthesis` searches the space of carry forests for designs
   that maximize expected detections under a budget.
+* :mod:`operadic.dialect` holds the typed JSON reads the dialect parsers share.
 * :mod:`operadic.cli` is the ``operadic`` command line tool.
 """
 
@@ -29,7 +30,6 @@ from .algebra import (
     composite_distribution,
     kpi_evaluate,
     load_catalog,
-    load_scenario,
     parse_catalog,
     parse_failure_bundle,
     parse_scenario,
@@ -68,7 +68,6 @@ from .planner import (
     enumerate_bindings,
     export_lp,
     lift,
-    load_plan_scenario,
     parse_plan_scenario,
     project,
     solve,

@@ -28,12 +28,16 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
 from .core import NetOperation, NetType, compose
+from .dialect import Reader
 
 PROB_TOL = 1e-9
 
 
 class AlgebraError(ValueError):
     pass
+
+
+_read = Reader(AlgebraError)
 
 
 # ---------------------------------------------------------------------------
@@ -70,21 +74,22 @@ class AssetSpec:
 def parse_catalog(data: Mapping | str) -> dict[str, AssetSpec]:
     if isinstance(data, str):
         data = json.loads(data)
+    data = _read.typed("catalog", data, "object")
     if data.get("version") != 1:
         raise AlgebraError(f"catalog: expected \"version\": 1, got {data.get('version')!r}")
-    assets = data.get("assets")
-    if not isinstance(assets, Mapping):
-        raise AlgebraError('catalog: "assets" must be an object')
     catalog = {}
-    for color, raw in assets.items():
-        tos = raw.get("time_on_station_hr")
+    for color, raw in _read.key("catalog", data, "assets", "object").items():
+        where = f"catalog.assets.{color}"
+        raw = _read.typed(where, raw, "object")
+        tos = raw.get("time_on_station_hr")  # null or absent: unlimited
         catalog[color] = AssetSpec(
             color=color,
-            cost=float(raw["cost"]),
-            time_on_station_hr=math.inf if tos is None else float(tos),
-            speed_search_kn=float(raw["speed_search_kn"]),
-            speed_max_kn=float(raw["speed_max_kn"]),
-            sweep_width_nmi={k: float(v) for k, v in raw["sweep_width_nmi"].items()},
+            cost=float(_read.key(where, raw, "cost", "number")),
+            time_on_station_hr=math.inf if tos is None
+            else float(_read.typed(f"{where}.time_on_station_hr", tos, "number")),
+            speed_search_kn=float(_read.key(where, raw, "speed_search_kn", "number")),
+            speed_max_kn=float(_read.key(where, raw, "speed_max_kn", "number")),
+            sweep_width_nmi=_read.numbers(where, raw, "sweep_width_nmi"),
         )
     return catalog
 
@@ -126,18 +131,15 @@ class SearchScenario:
 def parse_scenario(data: Mapping | str) -> SearchScenario:
     if isinstance(data, str):
         data = json.loads(data)
+    data = _read.typed("scenario", data, "object")
     if data.get("version") != 1:
         raise AlgebraError(f"scenario: expected \"version\": 1, got {data.get('version')!r}")
     return SearchScenario(
-        bases={k: float(v) for k, v in data["bases"].items()},
-        area_nmi2=float(data["area_nmi2"]),
-        window_hr=float(data["window_hr"]),
-        target_mix={k: float(v) for k, v in data["target_mix"].items()},
+        bases=_read.numbers("scenario", data, "bases"),
+        area_nmi2=float(_read.key("scenario", data, "area_nmi2", "number")),
+        window_hr=float(_read.key("scenario", data, "window_hr", "number")),
+        target_mix=_read.numbers("scenario", data, "target_mix"),
     )
-
-
-def load_scenario(path: str | Path) -> SearchScenario:
-    return parse_scenario(json.loads(Path(path).read_text()))
 
 
 @dataclass(frozen=True)
@@ -237,13 +239,50 @@ class KpiReport:
         }
 
 
+def node_effort(
+    asset: AssetSpec,
+    distance_nmi: float,
+    chain_speed_kn: float,
+    scenario: SearchScenario,
+    kinds: Sequence[str],
+) -> tuple[float, float, tuple[float, ...]]:
+    """Arrival hour, search hours and per-kind effort of one node.
+
+    This is the one place the effort law lives: the node transits
+    ``distance_nmi`` at ``chain_speed_kn``, searches while both its time on
+    station and the mission window last, and sweeps ``width * speed *
+    hours`` for each target kind in ``kinds``.
+    """
+    arrival = distance_nmi / chain_speed_kn
+    search = max(0.0, min(asset.time_on_station_hr, scenario.window_hr - arrival))
+    effort = []
+    for kind in kinds:
+        if kind not in asset.sweep_width_nmi:
+            raise AlgebraError(
+                f"asset {asset.color!r} has no sweep width for target kind {kind!r}"
+            )
+        effort.append(asset.sweep_width_nmi[kind] * asset.speed_search_kn * search)
+    return arrival, search, tuple(effort)
+
+
+def detection(
+    scenario: SearchScenario, effort: Mapping[str, float]
+) -> tuple[dict[str, float], float]:
+    """Detection probability ``1 - exp(-Z / area)`` per target kind, and the
+    expected detections weighted by the target mix."""
+    kinds = sorted(scenario.target_mix)
+    detect = {k: 1.0 - math.exp(-effort[k] / scenario.area_nmi2) for k in kinds}
+    return detect, sum(scenario.target_mix[k] * detect[k] for k in kinds)
+
+
 def kpi_evaluate(design: FleetDesign, scenario: SearchScenario) -> KpiReport:
     """Score a fleet design against a search scenario.
 
     Transit speed of a node is its own max speed when uncarried, otherwise
     the minimum max-speed among its (transitive) carriers; the carried asset
     does not slow its chain.  Search time is clipped by both time on station
-    and the remaining mission window.
+    and the remaining mission window.  Effort is pooled per kind in node
+    order, starting from 0.0.
     """
     carrier = design.carrier_of()
     kinds = sorted(scenario.target_mix)
@@ -261,19 +300,11 @@ def kpi_evaluate(design: FleetDesign, scenario: SearchScenario) -> KpiReport:
                 speeds.append(design.assets[host].speed_max_kn)
                 host = carrier[host]
             chain_speed = min(speeds)
-        arrival = scenario.bases[base] / chain_speed
-        search = max(0.0, min(asset.time_on_station_hr, scenario.window_hr - arrival))
-        node_effort = {}
-        for kind in kinds:
-            if kind not in asset.sweep_width_nmi:
-                raise AlgebraError(
-                    f"asset {asset.color!r} has no sweep width for target kind {kind!r}"
-                )
-            node_effort[kind] = asset.sweep_width_nmi[kind] * asset.speed_search_kn * search
-            effort[kind] += node_effort[kind]
-        nodes.append(NodeScore(p, asset.color, base, arrival, search, node_effort))
-    detect = {k: 1.0 - math.exp(-effort[k] / scenario.area_nmi2) for k in kinds}
-    expected = sum(scenario.target_mix[k] * detect[k] for k in kinds)
+        arrival, search, row = node_effort(asset, scenario.bases[base], chain_speed, scenario, kinds)
+        for kind, z in zip(kinds, row):
+            effort[kind] += z
+        nodes.append(NodeScore(p, asset.color, base, arrival, search, dict(zip(kinds, row))))
+    detect, expected = detection(scenario, effort)
     return KpiReport(design.total_cost, effort, detect, expected, tuple(nodes))
 
 

@@ -86,7 +86,7 @@ from .planner import (
     parse_plan_scenario,
     solve,
 )
-from .synthesis import SynthesisError, parse_synthesis_task, search
+from .synthesis import METHODS, SynthesisError, parse_synthesis_task, search
 from .template import (
     TemplateError,
     induced_operad,
@@ -174,7 +174,7 @@ def _validate_summary(kind: str, data) -> dict:
     if kind == "scenario":
         return {"bases": len(data["bases"])}
     if kind == "plan-scenario":
-        return {"agents": len(data["agents"]), "horizon": data["horizon"]}
+        return {"agents": len(data.get("agents", [])), "horizon": data["horizon"]}
     if kind == "synthesis-task":
         return {"budget": data["budget"], "method": data.get("method", "exhaustive")}
     if kind == "wiring":
@@ -496,7 +496,7 @@ def build_parser() -> _Parser:
     p.add_argument("task", help="task JSON, or a bare scenario JSON with --budget")
     p.add_argument("--budget", type=float, default=None, help="override the cost budget")
     p.add_argument("--max-nodes", type=int, default=None, help="override the node cap")
-    p.add_argument("--method", choices=["exhaustive", "anneal", "genetic"], default=None)
+    p.add_argument("--method", choices=METHODS, default=None)
     p.add_argument("--audit", default=None, help="write the JSON-lines audit log here")
     p.set_defaults(handler=_cmd_synthesize)
     return parser

@@ -42,11 +42,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .dialect import Reader
 from .lp import LpConstraint, LpModel
 from .template import TaskingTemplate, Transition, parse_tasking_template
 
@@ -55,6 +55,9 @@ DEFAULT_NODE_CAP = 2_000_000
 
 class PlannerError(ValueError):
     pass
+
+
+_read = Reader(PlannerError)
 
 
 class Level(enum.Enum):
@@ -639,9 +642,6 @@ class Solution:
 
     def makespan(self) -> int:
         return max((t + _duration(self.level, b) for t, b in self.schedule), default=0)
-
-    def tasks_at(self, t: int) -> list[TaskBinding]:
-        return [b for s, b in self.schedule if s == t]
 
     def to_dict(self) -> dict:
         return {
@@ -1246,21 +1246,22 @@ def parse_plan_scenario(data: Mapping | str) -> PlanScenario:
     horizon = data.get("horizon")
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
         raise PlannerError(f"scenario: \"horizon\" must be an integer >= 0, got {horizon!r}")
-    for i, raw in enumerate(data.get("agents", [])):
+    agents = []
+    for i, raw in enumerate(_read.key("scenario", data, "agents", "list", [])):
         for key in ("id", "color", "start"):
             if not isinstance(raw, Mapping) or key not in raw:
                 raise PlannerError(f"scenario: agent {i} has no {key!r}")
-    agents = tuple(
-        Agent(
-            id=raw["id"],
-            color=raw["color"],
-            start=raw["start"],
-            fuel_init=float(raw.get("fuel_init", 0.0)),
-            fuel_max=float(raw.get("fuel_max", 0.0)),
-            fuel_min=float(raw.get("fuel_min", 0.0)),
+        where = f"scenario.agents[{i}]"
+        agents.append(
+            Agent(
+                id=raw["id"],
+                color=raw["color"],
+                start=raw["start"],
+                fuel_init=float(_read.key(where, raw, "fuel_init", "number", 0.0)),
+                fuel_max=float(_read.key(where, raw, "fuel_max", "number", 0.0)),
+                fuel_min=float(_read.key(where, raw, "fuel_min", "number", 0.0)),
+            )
         )
-        for raw in data.get("agents", [])
-    )
     goal = {
         (place, color): int(count)
         for place, per_color in data.get("goal", {}).items()
@@ -1268,15 +1269,22 @@ def parse_plan_scenario(data: Mapping | str) -> PlanScenario:
     }
     fuel = None
     if "fuel" in data:
-        raw = data["fuel"]
+        raw = _read.key("scenario", data, "fuel", "object")
+        where = "scenario.fuel"
+        burn = _read.key(where, raw, "burn_rates", "object", {})
+        costs = _read.key(where, raw, "task_costs", "object", {})
+        refuel = _read.key(where, raw, "refuel", "object", {})
+        for t in costs:  # task costs keep their JSON numbers, as the LP prints them
+            for color, cost in _read.key(f"{where}.task_costs", costs, t, "object").items():
+                _read.typed(f"{where}.task_costs.{t}.{color}", cost, "number")
         fuel = FuelSpec(
             burn_rates={
-                (color, place): float(rate)
-                for color, per_place in raw.get("burn_rates", {}).items()
-                for place, rate in per_place.items()
+                (color, place): rate
+                for color in burn
+                for place, rate in _read.numbers(f"{where}.burn_rates", burn, color).items()
             },
-            task_costs=raw.get("task_costs", {}),
-            refuel={k: tuple(v) for k, v in raw.get("refuel", {}).items()},
+            task_costs=costs,
+            refuel={t: tuple(_read.key(f"{where}.refuel", refuel, t, "list")) for t in refuel},
             literal_update=bool(raw.get("literal_update", False)),
         )
     risk = None
@@ -1291,17 +1299,13 @@ def parse_plan_scenario(data: Mapping | str) -> PlanScenario:
             transition_factors=raw.get("transition_factors", {}),
         )
     return PlanScenario(
-        agents=agents,
+        agents=tuple(agents),
         horizon=horizon,
         objective=data.get("objective", "feasible"),
         goal=goal,
         fuel=fuel,
         risk=risk,
     )
-
-
-def load_plan_scenario(path: str | Path) -> PlanScenario:
-    return parse_plan_scenario(json.loads(Path(path).read_text()))
 
 
 def compile_scenario(template: TaskingTemplate, scenario: PlanScenario, level: Level = Level.TIMED) -> ConstraintSystem:

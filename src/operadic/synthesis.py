@@ -14,6 +14,16 @@ then to the smaller serialization, so results are reproducible.  All
 searches are seeded; the annealing and genetic streams are derived from the
 seed by hashing, and every evaluation is appended to an audit log that can
 be rendered as JSON lines.
+
+Scores compose: a placement's nodes score the same in every design that
+holds it, so ``DesignEvaluator`` keeps one table of per-node cost and effort
+per placement and pools the tables of a design's placements node by node,
+in the order ``realize`` numbers them.  That is the order and the arithmetic
+of ``kpi_evaluate`` on the realized network, so scores, audit logs and
+evaluation counts are the same as realizing every candidate would give.
+Only the winner is realized, once, for its report.  The strategies'
+repeated bookkeeping (a design's move list, a placement's size and score
+density) is memoised per search.
 """
 
 from __future__ import annotations
@@ -23,17 +33,22 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .algebra import (
+    AlgebraError,
     AssetSpec,
     FleetDesign,
     KpiReport,
     SearchScenario,
+    detection,
     kpi_evaluate,
+    node_effort,
     parse_scenario,
 )
 from .core import NetOperation, NetType
+from .dialect import Reader
 from .template import NetworkTemplate
 
 COST_EPS = 1e-6
@@ -44,6 +59,11 @@ Tree = tuple
 
 class SynthesisError(ValueError):
     pass
+
+
+_read = Reader(SynthesisError)
+
+METHODS = ("exhaustive", "anneal", "genetic")
 
 
 def tree_serial(tree: Tree) -> str:
@@ -61,32 +81,54 @@ def tree_cost(tree: Tree, catalog: Mapping[str, AssetSpec]) -> float:
     return catalog[tree[0]].cost + sum(tree_cost(c, catalog) for c in tree[1])
 
 
-def canon_tree(tree: Tree) -> Tree:
+def _canon(tree: Tree) -> tuple[Tree, str]:
+    """The canonical tree and its serial, each subtree serialized once."""
     kind, children = tree
-    fixed = tuple(canon_tree(c) for c in children)
-    return (kind, tuple(sorted(fixed, key=tree_serial)))
+    if not children:
+        return (kind, ()), kind
+    fixed = sorted((_canon(c) for c in children), key=lambda pair: pair[1])
+    return (
+        (kind, tuple(t for t, _ in fixed)),
+        kind + "(" + ",".join(serial for _, serial in fixed) + ")",
+    )
+
+
+def canon_tree(tree: Tree) -> Tree:
+    return _canon(tree)[0]
 
 
 @dataclass(frozen=True)
 class CandidateDesign:
-    """A canonical forest of (base, carry tree) placements."""
+    """A canonical forest of (base, carry tree) placements.
+
+    Equality and hashing use ``placements`` only; the serial and the node
+    count are computed once per instance.
+    """
 
     placements: tuple[tuple[str, Tree], ...]
 
     @classmethod
     def of(cls, placements: Iterable[tuple[str, Tree]]) -> "CandidateDesign":
-        fixed = [(base, canon_tree(tree)) for base, tree in placements]
-        fixed.sort(key=lambda p: (p[0], tree_serial(p[1])))
-        return cls(tuple(fixed))
+        fixed = [(base, *_canon(tree)) for base, tree in placements]
+        fixed.sort(key=lambda p: (p[0], p[2]))
+        return cls(tuple((base, tree) for base, tree, _ in fixed))
 
-    def serial(self) -> str:
+    @cached_property
+    def _serial(self) -> str:
         return ";".join(f"{base}:{tree_serial(tree)}" for base, tree in self.placements)
 
+    @cached_property
+    def _node_count(self) -> int:
+        return sum(tree_nodes(tree) for _, tree in self.placements)
+
+    def serial(self) -> str:
+        return self._serial
+
     def digest(self) -> str:
-        return hashlib.sha256(self.serial().encode()).hexdigest()
+        return hashlib.sha256(self._serial.encode()).hexdigest()
 
     def node_count(self) -> int:
-        return sum(tree_nodes(tree) for _, tree in self.placements)
+        return self._node_count
 
     def cost(self, catalog: Mapping[str, AssetSpec]) -> float:
         return sum(tree_cost(tree, catalog) for _, tree in self.placements)
@@ -143,7 +185,17 @@ def _substream(seed: int, label: str) -> random.Random:
 
 
 class DesignEvaluator:
-    """Realizes candidates as fleet designs and caches their scores."""
+    """Scores candidates by composing per-placement tables, with a cache.
+
+    A placement (base, tree) always contributes the same nodes: its assets
+    in preorder, each transiting from the base at the min max-speed of its
+    carriers (a root at its own).  The evaluator keeps each placement's
+    preorder rows of (asset cost, per-kind node effort), and scores a
+    candidate by pooling the rows of its placements in order, exactly as
+    ``kpi_evaluate`` pools the nodes of the realized design.  No network is
+    built to score a candidate; ``realize`` builds one for the winner's
+    report.
+    """
 
     def __init__(
         self,
@@ -165,7 +217,12 @@ class DesignEvaluator:
             k: tuple(c for c in kinds if rule.allows(c, k)) for k in kinds
         }
         self.bases = tuple(sorted(scenario.bases))
+        self._targets = sorted(scenario.target_mix)
         self._cache: dict[str, tuple[float, float]] = {}
+        self._rows: dict[tuple[str, Tree], tuple] = {}
+        self._moves: dict[tuple, tuple] = {}
+        self._density: dict[tuple[str, Tree], float] = {}
+        self._sizes_of: dict[tuple[str, Tree], tuple[str, str, int, float]] = {}
         self.evaluations = 0
 
     def realize(self, cand: CandidateDesign) -> FleetDesign:
@@ -197,9 +254,6 @@ class DesignEvaluator:
         score, cost = self._entry(cand)
         return (-score, cost, cand.serial())
 
-    def report(self, cand: CandidateDesign) -> KpiReport:
-        return kpi_evaluate(self.realize(cand), self.scenario)
-
     def audit_record(self, cand: CandidateDesign, **extra) -> dict:
         score, cost = self._entry(cand)
         record = {
@@ -212,13 +266,55 @@ class DesignEvaluator:
         record.update(extra)
         return record
 
+    def _sizes(self, placement: tuple[str, Tree]) -> tuple[str, str, int, float]:
+        """(base, serial, nodes, cost) of a placement once made canonical."""
+        sizes = self._sizes_of.get(placement)
+        if sizes is None:
+            base, tree = placement
+            tree, serial = _canon(tree)
+            sizes = (base, serial, tree_nodes(tree), tree_cost(tree, self.catalog))
+            self._sizes_of[placement] = sizes
+        return sizes
+
+    def _placement_rows(self, base: str, tree: Tree) -> tuple:
+        """Preorder (asset cost, per-kind effort) rows of one placement."""
+        key = (base, tree)
+        rows = self._rows.get(key)
+        if rows is None:
+            distance = self.scenario.bases[base]
+            out: list[tuple[float, tuple[float, ...]]] = []
+
+            def walk(node: Tree, carrier_speed: float | None) -> None:
+                asset = self.catalog[node[0]]
+                own = asset.speed_max_kn
+                chain = own if carrier_speed is None else carrier_speed
+                row = node_effort(asset, distance, chain, self.scenario, self._targets)[2]
+                out.append((asset.cost, row))
+                below = own if carrier_speed is None else min(carrier_speed, own)
+                for child in node[1]:
+                    walk(child, below)
+
+            walk(tree, None)
+            rows = self._rows[key] = tuple(out)
+        return rows
+
     def _entry(self, cand: CandidateDesign) -> tuple[float, float]:
         key = cand.serial()
-        if key not in self._cache:
-            report = self.report(cand)
-            self._cache[key] = (report.expected_detections, report.cost)
+        entry = self._cache.get(key)
+        if entry is None:
+            # pool node by node in realize's order, from 0.0, as kpi_evaluate does
+            costs: list[float] = []
+            effort = [0.0] * len(self._targets)
+            for base, tree in cand.placements:
+                if base not in self.scenario.bases:
+                    raise AlgebraError(f"node {len(costs)}: unknown base {base!r}")
+                for cost, row in self._placement_rows(base, tree):
+                    costs.append(cost)
+                    effort = [z + dz for z, dz in zip(effort, row)]
+            _, expected = detection(self.scenario, dict(zip(self._targets, effort)))
+            entry = self._cache[key] = (expected, sum(costs))
             self.evaluations += 1
-        return self._cache[key]
+        return entry
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +436,16 @@ def _drop_node(tree: Tree, path: tuple) -> Tree | None:
     return (tree[0], tuple(children))
 
 
-def _moves(cand: CandidateDesign, ev: DesignEvaluator, config: SearchConfig) -> list:
-    """Every applicable single-step edit, in a fixed order."""
+def _moves(cand: CandidateDesign, ev: DesignEvaluator, config: SearchConfig) -> tuple:
+    """Every applicable single-step edit, in a fixed order; memoised per design."""
+    key = (cand.serial(), config.max_nodes, config.budget)
+    moves = ev._moves.get(key)
+    if moves is None:
+        moves = ev._moves[key] = tuple(_list_moves(cand, ev, config))
+    return moves
+
+
+def _list_moves(cand: CandidateDesign, ev: DesignEvaluator, config: SearchConfig) -> list:
     catalog = ev.catalog
     nodes = cand.node_count()
     cost = cand.cost(catalog)
@@ -446,15 +550,18 @@ def crossover(
     chosen = [p for p in pool if rng.random() < 0.5]
 
     def density(placement) -> float:
-        single = CandidateDesign.of([placement])
-        cost = single.cost(ev.catalog)
-        return ev.score(single) / max(cost, 1.0)
+        value = ev._density.get(placement)
+        if value is None:
+            score = ev.score(CandidateDesign.of([placement]))
+            value = ev._density[placement] = score / max(ev._sizes(placement)[3], 1.0)
+        return value
 
     def over_caps() -> bool:
-        probe = CandidateDesign.of(chosen)
+        # the nodes and cost of CandidateDesign.of(chosen), summed in its order
+        sizes = sorted(ev._sizes(p) for p in chosen)
         return (
-            probe.node_count() > config.max_nodes
-            or probe.cost(ev.catalog) > config.budget + COST_EPS
+            sum(size[2] for size in sizes) > config.max_nodes
+            or sum(size[3] for size in sizes) > config.budget + COST_EPS
         )
 
     while chosen and over_caps():
@@ -507,11 +614,12 @@ def search(
         best, audit = _search_genetic(ev, config)
     else:
         raise SynthesisError(f"unknown search method {method!r}")
+    design = ev.realize(best)  # the only network built: the winner's
     return SearchResult(
         method=method,
         best=best,
-        design=ev.realize(best),
-        report=ev.report(best),
+        design=design,
+        report=kpi_evaluate(design, scenario),
         evaluations=ev.evaluations,
         audit=tuple(audit),
     )
@@ -631,6 +739,8 @@ def parse_synthesis_task(data: Mapping | str) -> SynthesisTask:
     """
     if isinstance(data, str):
         data = json.loads(data)
+    where = "synthesis task"
+    data = _read.typed(where, data, "object")
     if data.get("version") != 1:
         raise SynthesisError(
             f"synthesis task: expected \"version\": 1, got {data.get('version')!r}"
@@ -653,15 +763,18 @@ def parse_synthesis_task(data: Mapping | str) -> SynthesisTask:
         raise SynthesisError(f"synthesis task: unknown keys {sorted(unknown)}")
     if "budget" not in data or "scenario" not in data:
         raise SynthesisError("synthesis task: budget and scenario are required")
-    config_kwargs = dict(budget=float(data["budget"]))
+    config_kwargs = dict(budget=float(_read.key(where, data, "budget", "number")))
     for key in ("max_nodes", "seed", "iterations", "population", "generations"):
         if key in data:
-            config_kwargs[key] = int(data[key])
+            config_kwargs[key] = _read.key(where, data, key, "integer")
     if "mutation_rate" in data:
-        config_kwargs["mutation_rate"] = float(data["mutation_rate"])
+        config_kwargs["mutation_rate"] = float(_read.key(where, data, "mutation_rate", "number"))
+    method = _read.key(where, data, "method", "string", "exhaustive")
+    if method not in METHODS:
+        raise SynthesisError(f"synthesis task: unknown search method {method!r}")
     return SynthesisTask(
-        scenario=parse_scenario(data["scenario"]),
+        scenario=parse_scenario(_read.key(where, data, "scenario", "object")),
         config=SearchConfig(**config_kwargs),
-        method=data.get("method", "exhaustive"),
-        carry_interaction=data.get("carry_interaction", "carrying"),
+        method=method,
+        carry_interaction=_read.key(where, data, "carry_interaction", "string", "carrying"),
     )

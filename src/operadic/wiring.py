@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .dialect import Reader
+
 PortRef = tuple[str, str]  # (boundary name, port name)
 
 
@@ -455,23 +457,7 @@ def load_wiring_bundle(path: str | Path) -> dict[str, WiringOp]:
     return parse_wiring_bundle(json.loads(Path(path).read_text()))
 
 
-_JSON_KINDS = {"object": Mapping, "list": list, "string": str, "number": (int, float)}
-
-
-def _typed(where: str, value, kind: str):
-    """Return ``value`` if it has the JSON ``kind`` (a boolean is no number)."""
-    if isinstance(value, _JSON_KINDS[kind]) and not isinstance(value, bool):
-        return value
-    raise WiringError(f"{where}: expected {kind}, got {type(value).__name__}")
-
-
-def _key(where: str, raw: Mapping, key: str, kind: str, default=None):
-    """Read ``raw[key]`` as a ``kind``; required unless a ``default`` is given."""
-    if key not in raw:
-        if default is None:
-            raise WiringError(f"{where}: missing key {key!r}")
-        return default
-    return _typed(f"{where}.{key}", raw[key], kind)
+_read = Reader(WiringError)
 
 
 def parse_requirements_bundle(
@@ -484,7 +470,7 @@ def parse_requirements_bundle(
     """
     if isinstance(data, str):
         data = json.loads(data)
-    data = _typed("requirements", data, "object")
+    data = _read.typed("requirements", data, "object")
     if data.get("version") != 1:
         raise WiringError(f"requirements: expected \"version\": 1, got {data.get('version')!r}")
     unknown = set(data) - {"version", "components", "outer", "grid"}
@@ -492,33 +478,33 @@ def parse_requirements_bundle(
         raise WiringError(f"requirements: unknown keys {sorted(unknown)}")
 
     def parse_span(where: str, span) -> tuple[float, float]:
-        span = _typed(where, span, "list")
+        span = _read.typed(where, span, "list")
         if len(span) != 2:
             raise WiringError(f"{where}: an interval is a [lo, hi] pair, got {span!r}")
-        return (_typed(where, span[0], "number"), _typed(where, span[1], "number"))
+        return (_read.typed(where, span[0], "number"), _read.typed(where, span[1], "number"))
 
     def parse_reqs(key: str) -> list[Requirement]:
         out = []
-        for i, raw in enumerate(_key("requirements", data, key, "list", [])):
+        for i, raw in enumerate(_read.key("requirements", data, key, "list", [])):
             where = f"{key}[{i}]"
-            raw = _typed(where, raw, "object")
+            raw = _read.typed(where, raw, "object")
             intervals = {}
-            for port, spans in _key(where, raw, "intervals", "object").items():
+            for port, spans in _read.key(where, raw, "intervals", "object").items():
                 at = f"{where}.intervals.{port}"
-                intervals[port] = tuple(parse_span(at, span) for span in _typed(at, spans, "list"))
+                intervals[port] = tuple(parse_span(at, span) for span in _read.typed(at, spans, "list"))
             out.append(
                 Requirement(
-                    boundary=_key(where, raw, "boundary", "string"),
-                    name=_key(where, raw, "name", "string"),
+                    boundary=_read.key(where, raw, "boundary", "string"),
+                    name=_read.key(where, raw, "name", "string"),
                     intervals=intervals,
                 )
             )
         return out
 
     grid = {
-        space: [float(_typed(f"grid.{space}", v, "number"))
-                for v in _typed(f"grid.{space}", values, "list")]
-        for space, values in _key("requirements", data, "grid", "object", {}).items()
+        space: [float(_read.typed(f"grid.{space}", v, "number"))
+                for v in _read.typed(f"grid.{space}", values, "list")]
+        for space, values in _read.key("requirements", data, "grid", "object", {}).items()
     }
     return parse_reqs("components"), parse_reqs("outer"), grid
 

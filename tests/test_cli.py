@@ -481,3 +481,86 @@ class TestInputContract:
         assert doc["ok"] is False
         assert doc["error"] == "internal error: RuntimeError: boom"
         assert "internal error" in err
+
+
+CATALOG = json.loads((DATA / "sailboat_catalog.json").read_text())
+TASK = json.loads((DATA / "sailboat_synthesis.json").read_text())
+SYNTHESIS_SITES = [("catalog", path) for path, _ in json_paths(CATALOG)] + [
+    ("synthesis-task", path) for path, _ in json_paths(TASK)
+]
+
+
+def synthesize_json(capsys, catalog_path, task_path):
+    code, out, _ = run(
+        capsys, "--json", "synthesize", str(DATA / "sailboat_template.json"),
+        catalog_path, task_path, "--max-nodes", "2",
+    )
+    return code, json.loads(out)
+
+
+def validate_json(capsys, kind, path):
+    code, out, _ = run(capsys, "--json", "validate", kind, path)
+    return code, json.loads(out)
+
+
+class TestSynthesisDialects:
+    """The catalog, scenario and synthesis-task dialects raise their own
+    errors, and ``validate`` accepts exactly the tasks ``synthesize`` does."""
+
+    @pytest.mark.parametrize("kind,edit,needle", [
+        ("catalog", lambda d: d["assets"]["qd"].pop("speed_search_kn"), "speed_search_kn"),
+        ("synthesis-task", lambda d: d.update(budget="x"), "budget"),
+        ("synthesis-task", lambda d: d["scenario"].pop("bases"), "bases"),
+        ("synthesis-task", lambda d: d.update(max_nodes=2.5), "max_nodes"),
+        ("synthesis-task", lambda d: d.update(method="bogus"), "bogus"),
+    ])
+    def test_bad_input_is_the_dialects_error(self, capsys, tmp_path, kind, edit, needle):
+        data = json.loads(json.dumps(CATALOG if kind == "catalog" else TASK))
+        edit(data)
+        code, doc = validate_json(capsys, kind, write_json(tmp_path, "bad.json", data))
+        assert code == 1 and doc["ok"] is False
+        assert needle in doc["error"] and not doc["error"].startswith("internal error")
+
+    def test_bogus_method_fails_validate_and_synthesize_alike(self, capsys, tmp_path):
+        path = write_json(tmp_path, "task.json", {**TASK, "method": "bogus"})
+        v_code, v_doc = validate_json(capsys, "synthesis-task", path)
+        s_code, s_doc = synthesize_json(capsys, str(DATA / "sailboat_catalog.json"), path)
+        assert (v_code, s_code) == (1, 1)
+        assert v_doc["error"] == s_doc["error"] == "synthesis task: unknown search method 'bogus'"
+
+    def test_fuel_that_is_not_a_number(self, capsys, tmp_path):
+        scenario = json.loads((DATA / "rescue_scenario.json").read_text())
+        scenario["agents"][0]["fuel_init"] = "x"
+        code, doc = validate_json(capsys, "plan-scenario", write_json(tmp_path, "s.json", scenario))
+        assert code == 1
+        assert doc["error"] == "scenario.agents[0].fuel_init: expected number, got str"
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        site=st.sampled_from(SYNTHESIS_SITES),
+        kind=st.sampled_from(["drop", "wrong_type", "negate", "swap"]),
+    )
+    def test_mutated_input_ends_in_one_envelope(self, capsys, tmp_path, site, kind):
+        dialect, path = site
+        data = mutate(CATALOG if dialect == "catalog" else TASK, path, kind)
+        if data is None:
+            return
+        mutant = write_json(tmp_path, "mutant.json", data)
+        v_code, v_doc = validate_json(capsys, dialect, mutant)
+        if dialect == "catalog":
+            s_code, s_doc = synthesize_json(capsys, mutant, str(DATA / "sailboat_synthesis.json"))
+        else:
+            s_code, s_doc = synthesize_json(capsys, str(DATA / "sailboat_catalog.json"), mutant)
+        for code, doc in ((v_code, v_doc), (s_code, s_doc)):
+            assert code in (0, 1)
+            assert doc["ok"] is (code == 0)
+            assert not doc.get("error", "").startswith("internal error")
+        if dialect == "synthesis-task":
+            assert v_code == s_code  # validate accepts exactly what synthesize accepts
+        else:  # a catalog can also fail on the task's target kinds
+            assert v_code <= s_code

@@ -1,5 +1,6 @@
 """Design synthesis: canonical forests, enumeration, and the search modes."""
 
+import dataclasses
 import json
 import math
 import random
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from operadic.algebra import AssetSpec, SearchScenario, load_catalog
+from operadic.algebra import AlgebraError, AssetSpec, SearchScenario, kpi_evaluate, load_catalog
 from operadic.synthesis import (
     EMPTY,
     CandidateDesign,
@@ -328,3 +329,89 @@ class TestConfigAndTask:
             parse_synthesis_task({"version": 1, "budget": 1, "scenario": {}, "x": 2})
         with pytest.raises(SynthesisError, match="required"):
             parse_synthesis_task({"version": 1})
+
+
+# Two bases, one far enough that slow chains arrive after the window closes,
+# and all three target kinds.
+TWO_BASES = SearchScenario(
+    bases={"near": 40.0, "far": 210.0},
+    area_nmi2=9000.0,
+    window_hr=3.0,
+    target_mix={"piw": 1.0, "cir": 0.4, "ds": 1.7},
+)
+
+
+def _random_fleet(seed):
+    """A random catalog and carry rules with a carried asset faster than its
+    carrier, and a scenario whose far base lies beyond the window for slow
+    chains."""
+    rng = random.Random(seed)
+    kinds = ["ship", "slow", "fast", "drone"]
+    targets = rng.sample(["piw", "cir", "ds"], rng.randint(1, 3))
+    speeds = {"ship": rng.uniform(15, 30), "slow": rng.uniform(8, 20),
+              "fast": rng.uniform(60, 150), "drone": rng.uniform(20, 90)}
+    catalog = {
+        k: AssetSpec(
+            color=k,
+            cost=round(rng.uniform(1, 100), 3),
+            time_on_station_hr=rng.choice([math.inf, rng.uniform(0.5, 6)]),
+            speed_search_kn=rng.uniform(5, 120),
+            speed_max_kn=speeds[k],
+            sweep_width_nmi={t: rng.uniform(0.1, 9) for t in targets},
+        )
+        for k in kinds
+    }
+    hosts = {k: sorted(h for h in kinds if h != k and rng.random() < 0.5) for k in kinds}
+    hosts["fast"] = sorted(set(hosts["fast"]) | {"slow"})
+    template = parse_network_template(
+        {"version": 1, "colors": kinds, "directed": {"carrying": hosts}}
+    )
+    scenario = SearchScenario(
+        bases={"pier": rng.uniform(0, 30), "reef": rng.uniform(150, 260)},
+        area_nmi2=rng.uniform(500, 20000),
+        window_hr=rng.uniform(1, 8),
+        target_mix={t: rng.uniform(0.1, 2) for t in targets},
+    )
+    return template, catalog, scenario
+
+
+class TestComposedScoring:
+    """The evaluator's composed score against kpi_evaluate on the realized
+    network, the reference it must equal exactly."""
+
+    @staticmethod
+    def assert_matches_reference(template, catalog, scenario, config):
+        ev = DesignEvaluator(template, catalog, scenario)
+        designs = enumerate_designs(template, catalog, scenario, config)
+        for cand in designs:
+            report = kpi_evaluate(ev.realize(cand), scenario)
+            record = ev.audit_record(cand)
+            assert (record["score"], record["cost"]) == (
+                report.expected_detections,
+                report.cost,
+            ), cand.serial()
+        return designs
+
+    def test_sailboat_two_bases_three_kinds(self, sailboat_template, sailboat_catalog):
+        cfg = SearchConfig(budget=1e9, max_nodes=3)
+        designs = self.assert_matches_reference(
+            sailboat_template, sailboat_catalog, TWO_BASES, cfg
+        )
+        assert len(designs) == 988
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_catalogs(self, seed):
+        template, catalog, scenario = _random_fleet(seed)
+        cfg = SearchConfig(budget=random.Random(seed).choice([120.0, 1e9]), max_nodes=3)
+        self.assert_matches_reference(template, catalog, scenario, cfg)
+
+    @pytest.mark.parametrize("method", ["exhaustive", "anneal", "genetic"])
+    def test_missing_sweep_width_raises_through_search(
+        self, sailboat_template, sailboat_catalog, method
+    ):
+        catalog = dict(sailboat_catalog)
+        catalog["qd"] = dataclasses.replace(catalog["qd"], sweep_width_nmi={"piw": 0.5})
+        cfg = SearchConfig(budget=1e9, max_nodes=2, seed=3, iterations=200, generations=5)
+        with pytest.raises(AlgebraError) as err:
+            search(sailboat_template, catalog, TWO_BASES, cfg, method)
+        assert str(err.value) == "asset 'qd' has no sweep width for target kind 'cir'"

@@ -450,16 +450,18 @@ class OpTree:
         object.__setattr__(self, "children", dict(self.children))
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "OpTree":
+    def from_dict(cls, data: Mapping, where: str = "operation tree") -> "OpTree":
+        data = _read.typed(where, data, "object")
         if "op" not in data:
-            raise AlgebraError('operation tree: missing "op"')
+            raise AlgebraError(f'{where}: missing "op"')
         unknown = set(data) - {"op", "children"}
         if unknown:
-            raise AlgebraError(f"operation tree: unknown keys {sorted(unknown)}")
+            raise AlgebraError(f"{where}: unknown keys {sorted(unknown)}")
         children = {
-            label: cls.from_dict(sub) for label, sub in data.get("children", {}).items()
+            label: cls.from_dict(sub, f"{where}.children.{label}")
+            for label, sub in _read.key(where, data, "children", "object", {}).items()
         }
-        return cls(data["op"], children)
+        return cls(_read.typed(f"{where}.op", data["op"], "string"), children)
 
 
 class FailureModel:
@@ -517,10 +519,16 @@ def parse_failure_bundle(data: Mapping | str) -> tuple[FailureModel, OpTree]:
     """Parse ``{"version": 1, "distributions": {...}, "tree": {...}}``."""
     if isinstance(data, str):
         data = json.loads(data)
+    data = _read.typed("failure bundle", data, "object")
     if data.get("version") != 1:
         raise AlgebraError(f"failure bundle: expected \"version\": 1, got {data.get('version')!r}")
     unknown = set(data) - {"version", "distributions", "tree"}
     if unknown:
         raise AlgebraError(f"failure bundle: unknown keys {sorted(unknown)}")
-    model = failure_algebra(data["distributions"])
-    return model, OpTree.from_dict(data["tree"])
+    where = "failure bundle.distributions"
+    distributions = _read.key("failure bundle", data, "distributions", "object")
+    for op in distributions:  # probabilities keep their JSON numbers, as messages print them
+        for label, p in _read.key(where, distributions, op, "object").items():
+            _read.typed(f"{where}.{op}.{label}", p, "number")
+    model = failure_algebra(distributions)
+    return model, OpTree.from_dict(_read.key("failure bundle", data, "tree", "object"))

@@ -40,7 +40,8 @@ class Reader:
             return default
         return self.typed(f"{where}.{key}", raw[key], kind)
 
-    def numbers(self, where: str, raw: Mapping, key: str) -> dict[str, float]:
-        """Read the required ``raw[key]`` as an object of numbers, made floats."""
-        values = self.key(where, raw, key, "object")
+    def numbers(self, where: str, raw: Mapping, key: str, default=None) -> dict[str, float]:
+        """Read ``raw[key]`` as an object of numbers, made floats; required
+        unless a ``default`` is given."""
+        values = self.key(where, raw, key, "object", default)
         return {k: float(self.typed(f"{where}.{key}.{k}", v, "number")) for k, v in values.items()}

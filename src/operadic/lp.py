@@ -112,9 +112,13 @@ def write_lp(model: LpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+# one token after optional whitespace; a character that starts no token
+# matches the bare ``\S`` branch and yields an empty string
 _TOKEN = re.compile(
-    r"\s*(<=|>=|=|\+|-|[A-Za-z_][A-Za-z0-9_.]*|[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
+    r"\s*(?:(<=|>=|=|\+|-|[A-Za-z_][A-Za-z0-9_.]*|" + _NUMBER.pattern + r")|\S)"
 )
+_SENSES = frozenset(("<=", ">=", "="))
 _SECTIONS = {
     "minimize": "min",
     "maximize": "max",
@@ -130,21 +134,16 @@ _SECTIONS = {
 
 
 def _tokens(text: str) -> list[str]:
-    out: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise LpError(f"cannot tokenize {text[pos:pos + 20]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
+    out = _TOKEN.findall(text)
+    if "" in out:
+        for m in _TOKEN.finditer(text):
+            if m.group(1) is None:
+                raise LpError(f"cannot tokenize {text[m.start():m.start() + 20]!r}")
     return out
 
 
 def _is_number(tok: str) -> bool:
-    return bool(re.fullmatch(r"[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?", tok))
+    return _NUMBER.fullmatch(tok) is not None
 
 
 def _parse_terms(tokens: Sequence[str]) -> tuple[tuple[str, float], ...]:
@@ -197,18 +196,22 @@ def parse_lp(text: str) -> LpModel:
     generals: list[str] = []
 
     section = None
+    # a constraint row may span lines; only its first line can carry the
+    # name, and a row whose first line has no name has no tokens
     row_buffer: list[str] = []
+    row_tokens: list[str] = []
 
     def flush_row() -> None:
         if not row_buffer:
             return
+        name, colon, _ = row_buffer[0].partition(":")
+        tokens = list(row_tokens) if colon else []
         joined = " ".join(row_buffer)
         row_buffer.clear()
-        name, _, rest = joined.partition(":")
-        tokens = _tokens(rest)
+        row_tokens.clear()
         # split at the sense token
         for i, tok in enumerate(tokens):
-            if tok in ("<=", ">=", "="):
+            if tok in _SENSES:
                 constraints.append(
                     LpConstraint(
                         name.strip(),
@@ -251,8 +254,10 @@ def parse_lp(text: str) -> LpModel:
         elif section == "constraints":
             if ":" in line and row_buffer:
                 flush_row()
+            tokens = _tokens(line.partition(":")[2] if ":" in line else line)
             row_buffer.append(line)
-            if any(tok in ("<=", ">=", "=") for tok in _tokens(line.partition(":")[2] if ":" in line else line)):
+            row_tokens.extend(tokens)
+            if not _SENSES.isdisjoint(tokens):
                 flush_row()
         elif section == "bounds":
             bounds.append(_parse_bound(line))

@@ -42,15 +42,17 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .dialect import Reader
 from .lp import LpConstraint, LpModel
 from .template import TaskingTemplate, Transition, parse_tasking_template
 
+if TYPE_CHECKING:  # numpy is imported by the matrix accessors alone
+    import numpy as np
+
 DEFAULT_NODE_CAP = 2_000_000
+OBJECTIVES = ("feasible", "min_makespan", "max_survival")
 
 
 class PlannerError(ValueError):
@@ -320,7 +322,7 @@ class ConstraintSystem:
                 raise PlannerError(f"goal names unknown color {color!r}")
             if count < 0:
                 raise PlannerError("goal counts must be >= 0")
-        if self.objective not in ("feasible", "min_makespan", "max_survival"):
+        if self.objective not in OBJECTIVES:
             raise PlannerError(f"unknown objective {self.objective!r}")
         object.__setattr__(self, "goal", dict(self.goal))
 
@@ -341,6 +343,8 @@ class ConstraintSystem:
     def _incidence(self, duration: int | None, at_source: int, at_target: int) -> np.ndarray:
         """Per binding (optionally only those of one duration), add
         ``at_source`` at each source column and ``at_target`` at each target."""
+        import numpy as np
+
         rows = [
             b for b in self.bindings if duration is None or self.duration(b) == duration
         ]
@@ -364,6 +368,8 @@ class ConstraintSystem:
         """F: per binding, fuel delta per agent (task costs, negated)."""
         if self.fuel is None:
             raise PlannerError("no fuel semantics attached")
+        import numpy as np
+
         index = {a.id: i for i, a in enumerate(self.agents)}
         m = np.zeros((len(self.bindings), len(self.agents)))
         for r, b in enumerate(self.bindings):
@@ -1254,19 +1260,22 @@ def parse_plan_scenario(data: Mapping | str) -> PlanScenario:
         where = f"scenario.agents[{i}]"
         agents.append(
             Agent(
-                id=raw["id"],
-                color=raw["color"],
-                start=raw["start"],
+                id=_read.typed(f"{where}.id", raw["id"], "string"),
+                color=_read.typed(f"{where}.color", raw["color"], "string"),
+                start=_read.typed(f"{where}.start", raw["start"], "string"),
                 fuel_init=float(_read.key(where, raw, "fuel_init", "number", 0.0)),
                 fuel_max=float(_read.key(where, raw, "fuel_max", "number", 0.0)),
                 fuel_min=float(_read.key(where, raw, "fuel_min", "number", 0.0)),
             )
         )
-    goal = {
-        (place, color): int(count)
-        for place, per_color in data.get("goal", {}).items()
-        for color, count in per_color.items()
-    }
+    goal = {}
+    raw_goal = _read.key("scenario", data, "goal", "object", {})
+    for place in raw_goal:
+        for color, count in _read.key("scenario.goal", raw_goal, place, "object").items():
+            where = f"scenario.goal.{place}.{color}"
+            if _read.typed(where, count, "integer") < 0:
+                raise PlannerError(f"{where}: goal counts must be >= 0, got {count}")
+            goal[(place, color)] = count
     fuel = None
     if "fuel" in data:
         raw = _read.key("scenario", data, "fuel", "object")
@@ -1289,19 +1298,24 @@ def parse_plan_scenario(data: Mapping | str) -> PlanScenario:
         )
     risk = None
     if "risk" in data:
-        raw = data["risk"]
+        raw = _read.key("scenario", data, "risk", "object")
+        where = "scenario.risk"
+        places = _read.key(where, raw, "place_factors", "object", {})
         risk = RiskSpec(
             place_factors={
-                (color, place): float(x)
-                for color, per_place in raw.get("place_factors", {}).items()
-                for place, x in per_place.items()
+                (color, place): x
+                for color in places
+                for place, x in _read.numbers(f"{where}.place_factors", places, color).items()
             },
-            transition_factors=raw.get("transition_factors", {}),
+            transition_factors=_read.numbers(where, raw, "transition_factors", {}),
         )
+    objective = _read.key("scenario", data, "objective", "string", "feasible")
+    if objective not in OBJECTIVES:
+        raise PlannerError(f"unknown objective {objective!r}")
     return PlanScenario(
         agents=tuple(agents),
         horizon=horizon,
-        objective=data.get("objective", "feasible"),
+        objective=objective,
         goal=goal,
         fuel=fuel,
         risk=risk,

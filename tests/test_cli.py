@@ -3,6 +3,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from operadic.cli import main
 from operadic.lp import parse_lp, write_lp
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
 
 HELO_SCRIPT = """\
 # helicopter with two quadcopters aboard
@@ -564,3 +568,163 @@ class TestSynthesisDialects:
             assert v_code == s_code  # validate accepts exactly what synthesize accepts
         else:  # a catalog can also fail on the task's target kinds
             assert v_code <= s_code
+
+
+# Runs in a fresh interpreter: the commands must leave numpy unloaded, and
+# the matrix accessors must still load it and return numpy arrays.
+IMPORT_PATH_SCRIPT = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+import operadic.cli as cli
+
+data, lp = sys.argv[1], sys.argv[2]
+commands = [
+    ["plan", f"{data}/rescue_tasking.json", f"{data}/rescue_scenario.json"],
+    ["plan", f"{data}/rescue_tasking.json", f"{data}/rescue_scenario.json", "--export-lp", lp],
+    ["synthesize", f"{data}/sailboat_template.json", f"{data}/sailboat_catalog.json",
+     f"{data}/sailboat_synthesis.json", "--max-nodes", "2"],
+    ["analyze", "soundness", f"{data}/lsi_wiring.json", "flat_functional",
+     f"{data}/lsi_requirements.json"],
+    ["validate", "plan-scenario", f"{data}/rescue_scenario.json"],
+]
+codes = []
+for argv in commands:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        codes.append(cli.main(["--json", *argv]))
+loaded_by_commands = "numpy" in sys.modules
+
+from operadic.planner import compile_scenario, parse_plan_scenario
+from operadic.template import parse_tasking_template
+
+template = parse_tasking_template(open(f"{data}/rescue_tasking.json").read())
+cs = compile_scenario(template, parse_plan_scenario(open(f"{data}/rescue_scenario.json").read()))
+matrix = cs.update_matrix()
+import numpy as np
+
+print(json.dumps({
+    "codes": codes,
+    "loaded_by_commands": loaded_by_commands,
+    "matrix_is_ndarray": isinstance(matrix, np.ndarray),
+    "matrix_shape": list(matrix.shape),
+}))
+"""
+
+
+class TestImportPath:
+    """No command loads numpy; only the planner's matrix accessors do."""
+
+    def test_commands_leave_numpy_unloaded(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(DATA), str(tmp_path / "rescue.lp")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["codes"] == [0, 0, 0, 0, 0]
+        assert result["loaded_by_commands"] is False
+        assert result["matrix_is_ndarray"] is True
+        assert result["matrix_shape"][0] > 0
+        assert (tmp_path / "rescue.lp").exists()
+
+
+FAILURE = json.loads((DATA / "lsi_failure_control.json").read_text())
+# the rescue scenario with fuel and risk blocks, so every scenario field is mutated
+RESCUE = {
+    **json.loads((DATA / "rescue_scenario.json").read_text()),
+    "fuel": {
+        "burn_rates": {"uh60": {"a": 0.5, "c": 1}},
+        "task_costs": {"t1": {"uh60": 2}},
+        "refuel": {"t3": ["uh60"]},
+    },
+    "risk": {
+        "place_factors": {"uh60": {"a": 0.99, "c": 0.97}},
+        "transition_factors": {"t1": 0.98},
+    },
+}
+for agent in RESCUE["agents"]:
+    agent.update(fuel_init=8, fuel_max=10, fuel_min=2)
+PLAN_AND_FAILURE_SITES = [("failure", path) for path, _ in json_paths(FAILURE)] + [
+    ("plan-scenario", path) for path, _ in json_paths(RESCUE)
+]
+
+
+def command_json(capsys, dialect, path):
+    """Run the command that consumes ``dialect``: analyze failure or plan."""
+    if dialect == "failure":
+        argv = ("analyze", "failure", path)
+    else:
+        argv = ("plan", str(DATA / "rescue_tasking.json"), path, "--node-cap", "20000")
+    code, out, _ = run(capsys, "--json", *argv)
+    return code, json.loads(out)
+
+
+class TestPlanAndFailureDialects:
+    """The failure bundle and the plan-scenario goal, risk and objective are
+    read through the typed reader, and ``validate`` rejects what the
+    commands reject on the dialect alone."""
+
+    @pytest.mark.parametrize("dialect,edit,message", [
+        ("failure", lambda d: d.update(distributions=[1]),
+         "failure bundle.distributions: expected object, got list"),
+        ("failure", lambda d: d["distributions"]["g"].update(sensors="x"),
+         "failure bundle.distributions.g.sensors: expected number, got str"),
+        ("failure", lambda d: d["tree"].update(children=[1]),
+         "operation tree.children: expected object, got list"),
+        ("failure", lambda d: d.pop("tree"), "failure bundle: missing key 'tree'"),
+        ("plan-scenario", lambda d: d.update(goal={"d": {"uh60": "x"}}),
+         "scenario.goal.d.uh60: expected integer, got str"),
+        ("plan-scenario", lambda d: d.update(goal={"d": {"uh60": 2.0}}),
+         "scenario.goal.d.uh60: expected integer, got float"),
+        ("plan-scenario", lambda d: d.update(goal={"d": {"uh60": "2"}}),
+         "scenario.goal.d.uh60: expected integer, got str"),
+        ("plan-scenario", lambda d: d.update(goal={"d": {"uh60": -1}}),
+         "scenario.goal.d.uh60: goal counts must be >= 0, got -1"),
+        ("plan-scenario", lambda d: d["risk"].update(place_factors={"uh60": {"c": "x"}}),
+         "scenario.risk.place_factors.uh60.c: expected number, got str"),
+        ("plan-scenario", lambda d: d["risk"].update(transition_factors=[0.9]),
+         "scenario.risk.transition_factors: expected object, got list"),
+        ("plan-scenario", lambda d: d.update(objective="bogus"), "unknown objective 'bogus'"),
+    ])
+    def test_validate_and_command_give_the_dialects_error(
+        self, capsys, tmp_path, dialect, edit, message
+    ):
+        data = json.loads(json.dumps(FAILURE if dialect == "failure" else RESCUE))
+        edit(data)
+        path = write_json(tmp_path, "bad.json", data)
+        v_code, v_doc = validate_json(capsys, dialect, path)
+        c_code, c_doc = command_json(capsys, dialect, path)
+        assert (v_code, c_code) == (1, 1)
+        assert v_doc["error"] == c_doc["error"] == message
+
+    def test_unmutated_inputs_are_accepted(self, capsys, tmp_path):
+        for dialect, data in (("failure", FAILURE), ("plan-scenario", RESCUE)):
+            path = write_json(tmp_path, "ok.json", data)
+            assert validate_json(capsys, dialect, path)[0] == 0
+            assert command_json(capsys, dialect, path)[0] == 0
+
+    @settings(
+        max_examples=120,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        site=st.sampled_from(PLAN_AND_FAILURE_SITES),
+        kind=st.sampled_from(["drop", "wrong_type", "negate", "swap"]),
+    )
+    def test_mutated_input_ends_in_one_envelope(self, capsys, tmp_path, site, kind):
+        dialect, path = site
+        data = mutate(FAILURE if dialect == "failure" else RESCUE, path, kind)
+        if data is None:
+            return
+        mutant = write_json(tmp_path, "mutant.json", data)
+        v_code, v_doc = validate_json(capsys, dialect, mutant)
+        c_code, c_doc = command_json(capsys, dialect, mutant)
+        for code, doc in ((v_code, v_doc), (c_code, c_doc)):
+            assert code in (0, 1, 2)
+            assert doc["ok"] is (code == 0)
+            assert not doc.get("error", "").startswith("internal error")
+        assert v_code in (0, 1)
+        if v_code == 1:  # the commands accept nothing that validate rejects
+            assert c_code == 1

@@ -4,7 +4,8 @@ Every dialect parser reads keys and JSON value kinds through a ``Reader``
 bound to the dialect's own exception type, so a malformed input ends in
 that error (exit 1 with an envelope at the command line), never in a raw
 ``KeyError``, ``ValueError`` or ``TypeError``.  A boolean is neither a
-number nor an integer, and an integer kind rejects ``2.5`` and ``2.0``.
+number nor an integer, and an integer kind rejects ``2.5`` and ``2.0``;
+only the boolean kind reads ``true`` and ``false``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ _JSON_KINDS = {
     "string": str,
     "number": (int, float),
     "integer": int,
+    "boolean": bool,
 }
 
 
@@ -28,7 +30,7 @@ class Reader:
 
     def typed(self, where: str, value, kind: str):
         """Return ``value`` if it has the JSON ``kind``."""
-        if isinstance(value, _JSON_KINDS[kind]) and not isinstance(value, bool):
+        if isinstance(value, _JSON_KINDS[kind]) and (kind == "boolean") == isinstance(value, bool):
             return value
         raise self.error(f"{where}: expected {kind}, got {type(value).__name__}")
 

@@ -719,7 +719,16 @@ class Undecided:
 
 
 class _Search:
-    """Deterministic depth-first branch-and-bound over task start vectors."""
+    """Deterministic depth-first branch-and-bound over task start vectors.
+
+    ``memo`` maps each search state (tick, and per agent class the sorted
+    agent states) to the best prefix score it was entered with.  A revisit
+    that scores no better is cut: the earlier visit, first in exploration
+    order, already explored an equally good completion or a permuted copy
+    of one.  Agents of one colour are interchangeable unless fuel is
+    modelled; reserve reasons name agents, so then each agent is its own
+    class.  ``solve_all`` lists every solution and keeps no memo.
+    """
 
     def __init__(self, cs: ConstraintSystem, node_cap: int, collect_all: int | None = None):
         self.cs = cs
@@ -734,6 +743,11 @@ class _Search:
         self.color_of = {a.id: a.color for a in cs.agents}
         self.agents_by_id = {a.id: a for a in cs.agents}
         self.durations = [cs.duration(b) for b in cs.bindings]
+        self.memo: dict | None = {} if collect_all is None else None
+        classes: dict[str, list[str]] = {}
+        for a in cs.agents:
+            classes.setdefault(a.color if cs.fuel is None else a.id, []).append(a.id)
+        self.classes = tuple(classes.values())
 
     # conflict bookkeeping keeps only the deepest frontier
     def _blocked(self, t: int, reason: str) -> None:
@@ -864,6 +878,18 @@ class _Search:
             return
         if self._prune(schedule, risk_log, t):
             return
+        if self.memo is not None:
+            key = [t]  # flat: every class has a fixed size and every state three fields
+            for group in self.classes:
+                for state in sorted((positions[a] or "", busy.get(a, ()),
+                                     fuel[a] if fuel is not None else 0.0) for a in group):
+                    key += state
+            key = tuple(key)
+            score = self._score(schedule, risk_log)
+            seen = self.memo.get(key)
+            if seen is not None and seen <= score:
+                return
+            self.memo[key] = score
         if t == self.cs.steps:
             if busy:
                 self._blocked(t, "tasks still running at the horizon")
@@ -940,7 +966,8 @@ def solve(cs: ConstraintSystem, node_cap: int = DEFAULT_NODE_CAP):
     The exploration order is fixed: at every step the search tries waiting
     before starting tasks, and task subsets in ascending binding-index
     order.  Ties on the objective go to the first optimum found in that
-    order, so results are reproducible run to run.
+    order, so results are reproducible run to run.  ``node_cap`` counts
+    every state entered, memoised revisits included.
     """
     return _Search(cs, node_cap).run()
 
@@ -1294,7 +1321,7 @@ def parse_plan_scenario(data: Mapping | str) -> PlanScenario:
             },
             task_costs=costs,
             refuel={t: tuple(_read.key(f"{where}.refuel", refuel, t, "list")) for t in refuel},
-            literal_update=bool(raw.get("literal_update", False)),
+            literal_update=_read.key(where, raw, "literal_update", "boolean", False),
         )
     risk = None
     if "risk" in data:
@@ -1312,6 +1339,8 @@ def parse_plan_scenario(data: Mapping | str) -> PlanScenario:
     objective = _read.key("scenario", data, "objective", "string", "feasible")
     if objective not in OBJECTIVES:
         raise PlannerError(f"unknown objective {objective!r}")
+    if objective == "max_survival" and risk is None:
+        raise PlannerError("max_survival objective needs risk semantics")
     return PlanScenario(
         agents=tuple(agents),
         horizon=horizon,

@@ -728,3 +728,40 @@ class TestPlanAndFailureDialects:
         assert v_code in (0, 1)
         if v_code == 1:  # the commands accept nothing that validate rejects
             assert c_code == 1
+
+
+class TestPlanScenarioChecks:
+    """``validate``, ``plan`` and ``plan --export-lp`` reject a scenario alike."""
+
+    def commands(self, capsys, path):
+        template = str(DATA / "rescue_tasking.json")
+        lp = str(Path(path).with_suffix(".lp"))
+        yield validate_json(capsys, "plan-scenario", path)
+        yield run_json(capsys, "plan", template, path)[:2]
+        yield run_json(capsys, "plan", template, path, "--export-lp", lp)[:2]
+
+    def test_max_survival_needs_a_risk_block(self, capsys, tmp_path):
+        scenario = json.loads((DATA / "rescue_scenario.json").read_text())
+        scenario["objective"] = "max_survival"
+        path = write_json(tmp_path, "survival.json", scenario)
+        for code, doc in self.commands(capsys, path):
+            assert code == 1
+            assert doc["error"] == "max_survival objective needs risk semantics"
+
+    @pytest.mark.parametrize("value,kind", [("no", "str"), (1, "int"), (None, "NoneType")])
+    def test_literal_update_must_be_a_boolean(self, capsys, tmp_path, value, kind):
+        scenario = json.loads(json.dumps(RESCUE))
+        scenario["fuel"]["literal_update"] = value
+        path = write_json(tmp_path, "fuel.json", scenario)
+        for code, doc in self.commands(capsys, path):
+            assert code == 1
+            assert doc["error"] == (
+                f"scenario.fuel.literal_update: expected boolean, got {kind}"
+            )
+
+    def test_literal_update_reads_json_booleans(self, capsys, tmp_path):
+        scenario = json.loads(json.dumps(RESCUE))
+        for value in (True, False):
+            scenario["fuel"]["literal_update"] = value
+            path = write_json(tmp_path, "fuel.json", scenario)
+            assert [code for code, _ in self.commands(capsys, path)] == [0, 0, 0]

@@ -3,12 +3,14 @@ import json
 import math
 import random
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 import pytest
 
 from conftest import random_micro_net
 from operadic.planner import (
+    OBJECTIVES,
     Agent,
     ConstraintSystem,
     CountsSolution,
@@ -611,3 +613,327 @@ class TestScenario:
         assert cs.fuel is not None
         sol = solve(cs)
         assert [dict(row)["u1"] for row in sol.fuel_trace] == [5, 3, 3, 2, 1]
+
+
+# ---------------------------------------------------------------------------
+# the state memo: a differential check against the plain depth-first search.
+# ``PlainSearch`` is ``planner._Search`` as it was before the memo, minus the
+# ``solve_all`` branches; ``solve`` must return exactly what it returns.
+
+
+class PlainSearch:
+    """``planner._Search`` as it was before the state memo: the reference."""
+
+    def __init__(self, cs, node_cap: int):
+        self.cs = cs
+        self.node_cap = node_cap
+        self.nodes = 0
+        self.capped = False
+        self.best: tuple[float, Solution] | None = None
+        self.deepest = -1
+        self.conflicts: set[str] = set()
+        self.color_of = {a.id: a.color for a in cs.agents}
+        self.agents_by_id = {a.id: a for a in cs.agents}
+        self.durations = [cs.duration(b) for b in cs.bindings]
+
+    # conflict bookkeeping keeps only the deepest frontier
+    def _blocked(self, t: int, reason: str) -> None:
+        if t > self.deepest:
+            self.deepest = t
+            self.conflicts = {reason}
+        elif t == self.deepest:
+            self.conflicts.add(reason)
+
+    def _fuel_step(self, fuel: dict[str, float], positions, started) -> None:
+        """Charge one tick in place: waiting burn, then task costs, then the clamp."""
+        spec = self.cs.fuel
+        if self.cs.level is Level.TIMED:
+            for agent, place in positions.items():
+                if place is not None:
+                    fuel[agent] -= spec.rate(self.color_of[agent], place)
+        for bi in started:
+            b = self.cs.bindings[bi]
+            for agent, _, _ in b.moves:
+                cost = spec.cost(b.name, self.color_of[agent])
+                if cost:
+                    fuel[agent] -= cost
+        for agent in fuel:
+            cap = self.agents_by_id[agent].fuel_max
+            if spec.literal_update:
+                fuel[agent] = max(fuel[agent], cap)
+            else:
+                fuel[agent] = min(fuel[agent], cap)
+
+    def _check_reserve(self, fuel: dict[str, float], t: int) -> str | None:
+        for agent, level in fuel.items():
+            reserve = self.agents_by_id[agent].fuel_min
+            if level < reserve - 1e-9:
+                return f"fuel of {agent} below reserve at step {t} ({level:g} < {reserve:g})"
+        return None
+
+    def startable(self, positions: Mapping[str, str | None], t: int) -> list[int]:
+        out = []
+        for bi, b in enumerate(self.cs.bindings):
+            if t + self.durations[bi] > self.cs.steps:
+                continue
+            if all(positions.get(agent) == src for agent, src, _ in b.moves):
+                out.append(bi)
+        return out
+
+    def goal_met(self, positions: Mapping[str, str | None]) -> str | None:
+        for (place, color), want in sorted(self.cs.goal.items()):
+            have = sum(
+                1
+                for agent, p in positions.items()
+                if p == place and self.color_of[agent] == color
+            )
+            if have < want:
+                return f"goal {color}@{place} >= {want} unmet (have {have})"
+        return None
+
+    def run(self):
+        positions: dict[str, str | None] = {a.id: a.start for a in self.cs.agents}
+        fuel = {a.id: a.fuel_init for a in self.cs.agents} if self.cs.fuel else None
+        if fuel is not None:
+            bad = self._check_reserve(fuel, 0)
+            if bad is not None:
+                return Infeasible((bad,), 0)
+        self._dfs(0, positions, {}, fuel, [], [TypeVector.of(positions)],
+                  [tuple(sorted(fuel.items()))] if fuel is not None else None, 0.0)
+        if self.capped:
+            best = self.best[1] if self.best else None
+            return Undecided(self.nodes, best)
+        if self.best is None:
+            return Infeasible(tuple(sorted(self.conflicts)), max(self.deepest, 0))
+        return self.best[1]
+
+    def _makespan(self, schedule) -> float:
+        return float(max((t + self.durations[bi] for t, bi in schedule), default=0))
+
+    def _score(self, schedule, risk_log) -> float:
+        if self.cs.objective == "min_makespan":
+            return self._makespan(schedule)
+        if self.cs.objective == "max_survival":
+            return -risk_log  # stored negated so lower is better
+        return 0.0
+
+    def _better(self, score: float) -> bool:
+        return self.best is None or score < self.best[0] - 1e-12
+
+    def _record(self, schedule, markings, fuel_trace, risk_log):
+        score = self._score(schedule, risk_log)
+        sol = Solution(
+            level=self.cs.level,
+            steps=self.cs.steps,
+            template=self.cs.template,
+            agents=self.cs.agents,
+            schedule=tuple((t, self.cs.bindings[bi]) for t, bi in schedule),
+            markings=tuple(markings),
+            fuel_trace=tuple(fuel_trace) if fuel_trace is not None else None,
+            objective_value=(-score if self.cs.objective == "max_survival" else score)
+            if self.cs.objective != "feasible"
+            else None,
+        )
+        if self._better(score):
+            self.best = (score, sol)
+
+    def _prune(self, schedule, risk_log, t) -> bool:
+        if self.best is None:
+            return False
+        if self.cs.objective == "feasible":
+            return True  # any feasible solution suffices
+        if self.cs.objective == "min_makespan":
+            return self._makespan(schedule) >= self.best[0] - 1e-12
+        if self.cs.objective == "max_survival":
+            # optimistic: no further survival loss
+            return -risk_log >= self.best[0] - 1e-12
+        return False
+
+    def _dfs(self, t, positions, busy, fuel, schedule, markings, fuel_trace, risk_log):
+        if self.capped:
+            return
+        if self.nodes >= self.node_cap:
+            self.capped = True
+            return
+        self.nodes += 1
+        if self._prune(schedule, risk_log, t):
+            return
+        if t == self.cs.steps:
+            if busy:
+                self._blocked(t, "tasks still running at the horizon")
+                return
+            unmet = self.goal_met(positions)
+            if unmet is None:
+                self._record(schedule, markings, fuel_trace, risk_log)
+            else:
+                self._blocked(t, unmet)
+            return
+
+        startable = self.startable(positions, t)
+        chosen: list[int] = []
+
+        def branch(options: list[int]):
+            # fire the chosen subset, advance one tick, recurse
+            self._apply_and_recurse(t, positions, busy, fuel, schedule, markings,
+                                    fuel_trace, risk_log, list(chosen))
+            for i, bi in enumerate(options):
+                b = self.cs.bindings[bi]
+                agents = set(b.agents)
+                if any(agents & set(self.cs.bindings[c].agents) for c in chosen):
+                    continue
+                chosen.append(bi)
+                branch(options[i + 1 :])
+                chosen.pop()
+
+        branch(startable)
+
+    def _apply_and_recurse(self, t, positions, busy, fuel, schedule, markings,
+                           fuel_trace, risk_log, started):
+        cs = self.cs
+        new_positions = dict(positions)
+        new_busy = dict(busy)
+        new_risk = risk_log
+        if cs.risk is not None:
+            for agent, place in positions.items():
+                if place is not None:
+                    new_risk += cs.risk.place_log(self.color_of[agent], place)
+            for bi in started:
+                new_risk += cs.risk.transition_log(cs.bindings[bi].name)
+        for bi in started:
+            b = cs.bindings[bi]
+            for agent, _src, dst in b.moves:
+                new_positions[agent] = None
+                new_busy[agent] = (t + self.durations[bi], dst, b.name)
+        new_fuel = dict(fuel) if fuel is not None else None
+        if new_fuel is not None:
+            self._fuel_step(new_fuel, positions, started)
+        # completions land at t + 1
+        for agent, (release, dst, via) in list(new_busy.items()):
+            if release == t + 1:
+                new_positions[agent] = dst
+                del new_busy[agent]
+                if new_fuel is not None and cs.fuel.receives(via, self.color_of[agent]):
+                    new_fuel[agent] = self.agents_by_id[agent].fuel_max
+        if new_fuel is not None:
+            bad = self._check_reserve(new_fuel, t + 1)
+            if bad is not None:
+                self._blocked(t + 1, bad)
+                return
+        new_schedule = schedule + [(t, bi) for bi in sorted(started)]
+        new_markings = markings + [TypeVector.of(new_positions)]
+        new_trace = (
+            fuel_trace + [tuple(sorted(new_fuel.items()))] if fuel_trace is not None else None
+        )
+        self._dfs(t + 1, new_positions, new_busy, new_fuel, new_schedule,
+                  new_markings, new_trace, new_risk)
+
+
+
+
+def memo_instance(rng: random.Random, rescue) -> ConstraintSystem:
+    """A seeded micro-net or rescue fleet, at either level, under any
+    objective, sometimes with fuel (refuel and the literal update included)
+    and risk; many goals are out of reach."""
+    level = rng.choice((Level.TIMED, Level.PLAN))
+    objective = rng.choice(OBJECTIVES)
+    if rng.random() < 0.5:
+        template, agents = random_micro_net(rng)
+        colors = sorted({tr.inputs[0].color for tr in template.transitions})
+        agents += tuple(
+            Agent(f"x{i}", rng.choice(colors), rng.choice(template.places))
+            for i in range(rng.randint(0, 2))
+        )
+        steps = rng.randint(1, 4)
+    else:
+        template = rescue
+        agents = tuple(
+            Agent(f"u{i}", "uh60", rng.choice("abc")) for i in range(rng.randint(1, 4))
+        ) + ((Agent("h1", "hc130", "c"),) if rng.random() < 0.7 else ())
+        steps = rng.randint(2, 7 - len(agents))
+    places, colors = template.places, template.colors
+    goal = {(rng.choice(places), rng.choice(colors)): rng.randint(1, 3)
+            for _ in range(rng.randint(0, 2))}
+    fuel = None
+    if rng.random() < 0.4:
+        agents = tuple(
+            Agent(a.id, a.color, a.start, fuel_init=f, fuel_max=rng.choice((f, f + 2)),
+                  fuel_min=rng.choice((0.0, 1.0, 2.0)))
+            for a in agents
+            for f in [float(rng.randint(2, 8))]
+        )
+        names = [tr.name for tr in template.transitions]
+        fuel = FuelSpec(
+            burn_rates={(c, p): float(rng.randint(0, 2))
+                        for c in colors for p in places if rng.random() < 0.5},
+            task_costs={n: {c: float(rng.randint(0, 3)) for c in colors}
+                        for n in names if rng.random() < 0.5},
+            refuel={n: (rng.choice(colors),) for n in names if rng.random() < 0.3},
+            literal_update=rng.random() < 0.2,
+        )
+    build = compile_timed if level is Level.TIMED else compile_untimed
+    cs = build(template, agents, steps, goal, objective)
+    if fuel is not None:
+        cs = add_fuel_semantics(cs, fuel)
+    if objective == "max_survival" or rng.random() < 0.3:
+        cs = add_risk_semantics(cs, RiskSpec(
+            place_factors={(c, p): rng.choice((0.5, 0.8, 0.9, 0.95, 1.0))
+                           for c in colors for p in places},
+            transition_factors={tr.name: rng.choice((0.7, 0.9, 1.0))
+                                for tr in template.transitions},
+        ))
+    return cs
+
+
+def test_memoised_search_matches_plain_dfs(rescue):
+    rng = random.Random(20261019)
+    kinds = {"infeasible": 0, "solved": 0, "fuel": 0, "risk": 0, "plan": 0}
+    for _ in range(300):
+        cs = memo_instance(rng, rescue)
+        expect = PlainSearch(cs, 200_000).run()
+        assert not isinstance(expect, Undecided)
+        assert solve(cs).to_dict() == expect.to_dict()
+        kinds["infeasible" if isinstance(expect, Infeasible) else "solved"] += 1
+        kinds["fuel"] += cs.fuel is not None
+        kinds["risk"] += cs.risk is not None
+        kinds["plan"] += cs.level is Level.PLAN
+    assert min(kinds.values()) >= 60, kinds
+
+    # Three interchangeable agents whose reserve reasons name each of them:
+    # under fuel the memo must not merge agents of one colour.
+    fleet = tuple(
+        Agent(f"u{i}", "uh60", "a", fuel_init=3, fuel_max=3, fuel_min=1) for i in (1, 2, 3)
+    )
+    cs = add_fuel_semantics(
+        compile_timed(rescue, fleet, 3, {("d", "uh60"): 3}, "min_makespan"),
+        FuelSpec(burn_rates={("uh60", "c"): 1.0}, task_costs={"t1": {"uh60": 2.0}}),
+    )
+    expect = PlainSearch(cs, 200_000).run()
+    assert expect.conflicts == (
+        "fuel of u1 below reserve at step 3 (0 < 1)",
+        "fuel of u2 below reserve at step 3 (0 < 1)",
+        "fuel of u3 below reserve at step 3 (0 < 1)",
+        "goal uh60@d >= 3 unmet (have 0)",
+    )
+    assert solve(cs) == expect
+
+    # Tasks in flight land in different places at the same tick, so their
+    # busy entries must be part of the state: t1 pairs land at c, t4 pairs at d.
+    fleet = (Agent("u1", "uh60", "a"), Agent("u2", "uh60", "a"))
+    for objective in OBJECTIVES:
+        cs = compile_timed(rescue, fleet, 4, {("d", "uh60"): 2}, objective)
+        assert solve(cs) == PlainSearch(cs, 200_000).run()
+
+
+def test_memo_decides_a_search_the_plain_dfs_leaves_undecided(rescue):
+    # Infeasible: t4 moves uh60 agents to d in pairs only.  The plain DFS
+    # needs about 650,000 nodes to prove it; the memo needs about a thousand.
+    fleet = (Agent("u1", "uh60", "a"), Agent("u2", "uh60", "a"),
+             Agent("u3", "uh60", "b"), Agent("h1", "hc130", "c"))
+    cs = compile_timed(rescue, fleet, 8, {("d", "uh60"): 3}, "min_makespan")
+    result = solve(cs, node_cap=5_000)
+    assert isinstance(result, Infeasible)
+    assert result.conflicts == (
+        "goal uh60@d >= 3 unmet (have 0)",
+        "goal uh60@d >= 3 unmet (have 2)",
+    )
+    assert result.deepest_step == 8

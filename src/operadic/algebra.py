@@ -21,7 +21,6 @@ probes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,11 +71,7 @@ class AssetSpec:
 
 
 def parse_catalog(data: Mapping | str) -> dict[str, AssetSpec]:
-    if isinstance(data, str):
-        data = json.loads(data)
-    data = _read.typed("catalog", data, "object")
-    if data.get("version") != 1:
-        raise AlgebraError(f"catalog: expected \"version\": 1, got {data.get('version')!r}")
+    data = _read.document("catalog", data)
     catalog = {}
     for color, raw in _read.key("catalog", data, "assets", "object").items():
         where = f"catalog.assets.{color}"
@@ -95,7 +90,7 @@ def parse_catalog(data: Mapping | str) -> dict[str, AssetSpec]:
 
 
 def load_catalog(path: str | Path) -> dict[str, AssetSpec]:
-    return parse_catalog(json.loads(Path(path).read_text()))
+    return parse_catalog(Path(path).read_text())
 
 
 @dataclass(frozen=True)
@@ -129,11 +124,7 @@ class SearchScenario:
 
 
 def parse_scenario(data: Mapping | str) -> SearchScenario:
-    if isinstance(data, str):
-        data = json.loads(data)
-    data = _read.typed("scenario", data, "object")
-    if data.get("version") != 1:
-        raise AlgebraError(f"scenario: expected \"version\": 1, got {data.get('version')!r}")
+    data = _read.document("scenario", data)
     return SearchScenario(
         bases=_read.numbers("scenario", data, "bases"),
         area_nmi2=float(_read.key("scenario", data, "area_nmi2", "number")),
@@ -452,16 +443,13 @@ class OpTree:
     @classmethod
     def from_dict(cls, data: Mapping, where: str = "operation tree") -> "OpTree":
         data = _read.typed(where, data, "object")
-        if "op" not in data:
-            raise AlgebraError(f'{where}: missing "op"')
-        unknown = set(data) - {"op", "children"}
-        if unknown:
-            raise AlgebraError(f"{where}: unknown keys {sorted(unknown)}")
+        _read.only(where, data, ("op", "children"))
+        op = _read.key(where, data, "op", "string")
         children = {
             label: cls.from_dict(sub, f"{where}.children.{label}")
             for label, sub in _read.key(where, data, "children", "object", {}).items()
         }
-        return cls(_read.typed(f"{where}.op", data["op"], "string"), children)
+        return cls(op, children)
 
 
 class FailureModel:
@@ -517,14 +505,8 @@ def composite_distribution(model: FailureModel, tree: OpTree | Mapping) -> Failu
 
 def parse_failure_bundle(data: Mapping | str) -> tuple[FailureModel, OpTree]:
     """Parse ``{"version": 1, "distributions": {...}, "tree": {...}}``."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    data = _read.typed("failure bundle", data, "object")
-    if data.get("version") != 1:
-        raise AlgebraError(f"failure bundle: expected \"version\": 1, got {data.get('version')!r}")
-    unknown = set(data) - {"version", "distributions", "tree"}
-    if unknown:
-        raise AlgebraError(f"failure bundle: unknown keys {sorted(unknown)}")
+    data = _read.document("failure bundle", data)
+    _read.only("failure bundle", data, ("version", "distributions", "tree"))
     where = "failure bundle.distributions"
     distributions = _read.key("failure bundle", data, "distributions", "object")
     for op in distributions:  # probabilities keep their JSON numbers, as messages print them

@@ -76,6 +76,7 @@ from .core import (
 )
 from .lp import LpError
 from .planner import (
+    DEFAULT_NODE_CAP,
     Infeasible,
     PlannerError,
     Solution,
@@ -487,7 +488,7 @@ def build_parser() -> _Parser:
                    default=Level.TIMED.value)
     p.add_argument("--export-lp", default=None, metavar="FILE",
                    help="write the LP rendering here instead of solving")
-    p.add_argument("--node-cap", type=int, default=2_000_000)
+    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     p.set_defaults(handler=_cmd_plan)
 
     p = sub.add_parser("synthesize", help="search for a fleet design")

@@ -1,16 +1,18 @@
 """One typed reader for the JSON input dialects.
 
-Every dialect parser reads keys and JSON value kinds through a ``Reader``
-bound to the dialect's own exception type, so a malformed input ends in
-that error (exit 1 with an envelope at the command line), never in a raw
-``KeyError``, ``ValueError`` or ``TypeError``.  A boolean is neither a
-number nor an integer, and an integer kind rejects ``2.5`` and ``2.0``;
-only the boolean kind reads ``true`` and ``false``.
+Every dialect parser reads its document header, keys and JSON value kinds
+through a ``Reader`` bound to the dialect's own exception type, so a
+malformed input ends in that error (exit 1 with an envelope at the command
+line), never in a raw ``KeyError``, ``ValueError`` or ``TypeError``.  A
+boolean is neither a number nor an integer, and an integer kind rejects
+``2.5``, ``2.0`` and ``"2"``; only the boolean kind reads ``true`` and
+``false``.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+import json
+from typing import Iterable, Mapping
 
 _JSON_KINDS = {
     "object": Mapping,
@@ -27,6 +29,22 @@ class Reader:
 
     def __init__(self, error: type[Exception]) -> None:
         self.error = error
+
+    def document(self, what: str, data: Mapping | str) -> Mapping:
+        """Decode JSON text if given, and check for an object with ``"version": 1``."""
+        if isinstance(data, str):
+            data = json.loads(data)
+        data = self.typed(what, data, "object")
+        version = data.get("version")
+        if type(version) is not int or version != 1:  # not true, not 1.0
+            raise self.error(f"{what}: expected \"version\": 1, got {version!r}")
+        return data
+
+    def only(self, where: str, raw: Mapping, keys: Iterable[str]) -> None:
+        """Reject keys of ``raw`` outside ``keys``."""
+        unknown = set(raw) - set(keys)
+        if unknown:
+            raise self.error(f"{where}: unknown keys {sorted(unknown)}")
 
     def typed(self, where: str, value, kind: str):
         """Return ``value`` if it has the JSON ``kind``."""
@@ -47,3 +65,8 @@ class Reader:
         unless a ``default`` is given."""
         values = self.key(where, raw, key, "object", default)
         return {k: float(self.typed(f"{where}.{key}.{k}", v, "number")) for k, v in values.items()}
+
+    def strings(self, where: str, raw: Mapping, key: str, default=None) -> list[str]:
+        """Read ``raw[key]`` as a list of strings; required unless a ``default`` is given."""
+        values = self.key(where, raw, key, "list", default)
+        return [self.typed(f"{where}.{key}[{i}]", v, "string") for i, v in enumerate(values)]

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -1269,15 +1268,10 @@ def parse_plan_scenario(data: Mapping | str) -> PlanScenario:
          "risk": {"place_factors": {"uh60": {"c": 0.99}},
                   "transition_factors": {"t4": 0.9}}}
     """
-    if isinstance(data, str):
-        data = json.loads(data)
-    if data.get("version") != 1:
-        raise PlannerError(f"scenario: expected \"version\": 1, got {data.get('version')!r}")
-    unknown = set(data) - {"version", "agents", "horizon", "objective", "goal", "fuel", "risk"}
-    if unknown:
-        raise PlannerError(f"scenario: unknown keys {sorted(unknown)}")
-    horizon = data.get("horizon")
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
+    data = _read.document("scenario", data)
+    _read.only("scenario", data, ("version", "agents", "horizon", "objective", "goal", "fuel", "risk"))
+    horizon = _read.key("scenario", data, "horizon", "integer")
+    if horizon < 0:
         raise PlannerError(f"scenario: \"horizon\" must be an integer >= 0, got {horizon!r}")
     agents = []
     for i, raw in enumerate(_read.key("scenario", data, "agents", "list", [])):
@@ -1320,7 +1314,7 @@ def parse_plan_scenario(data: Mapping | str) -> PlanScenario:
                 for place, rate in _read.numbers(f"{where}.burn_rates", burn, color).items()
             },
             task_costs=costs,
-            refuel={t: tuple(_read.key(f"{where}.refuel", refuel, t, "list")) for t in refuel},
+            refuel={t: tuple(_read.strings(f"{where}.refuel", refuel, t)) for t in refuel},
             literal_update=_read.key(where, raw, "literal_update", "boolean", False),
         )
     risk = None

@@ -737,15 +737,9 @@ def parse_synthesis_task(data: Mapping | str) -> SynthesisTask:
          "seed": 7,
          "iterations": 800, "population": 24, "generations": 40}
     """
-    if isinstance(data, str):
-        data = json.loads(data)
     where = "synthesis task"
-    data = _read.typed(where, data, "object")
-    if data.get("version") != 1:
-        raise SynthesisError(
-            f"synthesis task: expected \"version\": 1, got {data.get('version')!r}"
-        )
-    known = {
+    data = _read.document(where, data)
+    _read.only(where, data, (
         "version",
         "scenario",
         "budget",
@@ -757,10 +751,7 @@ def parse_synthesis_task(data: Mapping | str) -> SynthesisTask:
         "generations",
         "mutation_rate",
         "carry_interaction",
-    }
-    unknown = set(data) - known
-    if unknown:
-        raise SynthesisError(f"synthesis task: unknown keys {sorted(unknown)}")
+    ))
     if "budget" not in data or "scenario" not in data:
         raise SynthesisError("synthesis task: budget and scenario are required")
     config_kwargs = dict(budget=float(_read.key(where, data, "budget", "number")))

@@ -55,6 +55,7 @@ from .core import (
     Signature,
     identity,
 )
+from .dialect import Reader
 from .monoid import MonoidKind
 
 
@@ -62,15 +63,7 @@ class TemplateError(ValueError):
     """Malformed template data or an edge the template does not allow."""
 
 
-def _require_version(data: Mapping, what: str) -> None:
-    if data.get("version") != 1:
-        raise TemplateError(f"{what}: expected \"version\": 1, got {data.get('version')!r}")
-
-
-def _check_keys(data: Mapping, allowed: set[str], what: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise TemplateError(f"{what}: unknown keys {sorted(unknown)}")
+_read = Reader(TemplateError)
 
 
 @dataclass(frozen=True)
@@ -161,64 +154,54 @@ class NetworkTemplate:
 
 
 def _parse_interaction(
-    name: str, value: Mapping, directed: bool, colors: set[str]
+    name: str, where: str, raw, directed: bool, colors: set[str]
 ) -> InteractionRule:
-    monoid = MonoidKind.BOOLEAN_OR
+    adjacency = raw = _read.typed(where, raw, "object")
+    monoid = MonoidKind.BOOLEAN_OR.value
     loops = False
-    adjacency = value
-    if isinstance(value, Mapping) and "pairs" in value:
-        _check_keys(value, {"pairs", "monoid", "loops"}, f"interaction {name!r}")
-        if "monoid" in value:
-            try:
-                monoid = MonoidKind(value["monoid"])
-            except ValueError:
-                raise TemplateError(
-                    f"interaction {name!r}: unknown monoid {value['monoid']!r}"
-                ) from None
-        loops = bool(value.get("loops", False))
-        adjacency = value["pairs"]
-    if not isinstance(adjacency, Mapping):
-        raise TemplateError(f"interaction {name!r}: adjacency must be an object")
+    if "pairs" in raw:
+        _read.only(where, raw, ("pairs", "monoid", "loops"))
+        monoid = _read.key(where, raw, "monoid", "string", monoid)
+        loops = _read.key(where, raw, "loops", "boolean", False)
+        adjacency = _read.key(where, raw, "pairs", "object")
+    try:
+        kind = MonoidKind(monoid)
+    except ValueError:
+        raise TemplateError(f"{where}: unknown monoid {monoid!r}") from None
     pairs: set[tuple[str, str]] = set()
-    for attached, hosts in adjacency.items():
+    for attached in adjacency:
         if attached not in colors:
-            raise TemplateError(f"interaction {name!r}: unknown color {attached!r}")
-        if not isinstance(hosts, list):
-            raise TemplateError(f"interaction {name!r}: {attached!r} entry must be a list")
-        for host in hosts:
+            raise TemplateError(f"{where}: unknown color {attached!r}")
+        for host in _read.strings(where, adjacency, attached):
             if host not in colors:
-                raise TemplateError(f"interaction {name!r}: unknown color {host!r}")
+                raise TemplateError(f"{where}: unknown color {host!r}")
             pairs.add((attached, host))
             if not directed:
                 pairs.add((host, attached))
-    inter = Interaction(name, directed=directed, monoid=monoid, loops=loops)
+    inter = Interaction(name, directed=directed, monoid=kind, loops=loops)
     return InteractionRule(inter, frozenset(pairs))
 
 
 def parse_network_template(data: Mapping | str) -> NetworkTemplate:
     """Parse the network-template JSON dialect (object or JSON text)."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    if not isinstance(data, Mapping):
-        raise TemplateError("template must be a JSON object")
-    _require_version(data, "network template")
-    _check_keys(data, {"version", "colors", "directed", "undirected"}, "network template")
-    colors = data.get("colors")
-    if not isinstance(colors, list) or not colors:
+    what = "network template"
+    data = _read.document(what, data)
+    _read.only(what, data, ("version", "colors", "directed", "undirected"))
+    colors = _read.strings(what, data, "colors")
+    if not colors:
         raise TemplateError('network template: "colors" must be a non-empty list')
     color_set = set(colors)
     rules: list[InteractionRule] = []
     for section, directed in (("directed", True), ("undirected", False)):
-        block = data.get(section, {})
-        if not isinstance(block, Mapping):
-            raise TemplateError(f'network template: "{section}" must be an object')
+        block = _read.key(what, data, section, "object", {})
         for name in sorted(block):
-            rules.append(_parse_interaction(name, block[name], directed, color_set))
+            where = f"{what}.{section}.{name}"
+            rules.append(_parse_interaction(name, where, block[name], directed, color_set))
     return NetworkTemplate(tuple(colors), tuple(rules))
 
 
 def load_network_template(path: str | Path) -> NetworkTemplate:
-    return parse_network_template(json.loads(Path(path).read_text()))
+    return parse_network_template(Path(path).read_text())
 
 
 def generators(template: NetworkTemplate, typ: NetType) -> list[NetOperation]:
@@ -454,42 +437,40 @@ class TaskingTemplate:
         }
 
 
-def _parse_flows(raw, what: str) -> tuple[TokenFlow, ...]:
-    if not isinstance(raw, list):
-        raise TemplateError(f"{what}: must be a list")
+def _parse_flows(where: str, raw: Mapping, key: str) -> tuple[TokenFlow, ...]:
     flows = []
-    for item in raw:
-        _check_keys(item, {"color", "place", "count"}, what)
-        try:
-            flows.append(TokenFlow(item["color"], item["place"], int(item.get("count", 1))))
-        except KeyError as missing:
-            raise TemplateError(f"{what}: missing key {missing}") from None
+    for i, item in enumerate(_read.key(where, raw, key, "list", [])):
+        at = f"{where}.{key}[{i}]"
+        item = _read.typed(at, item, "object")
+        _read.only(at, item, ("color", "place", "count"))
+        flows.append(TokenFlow(
+            _read.key(at, item, "color", "string"),
+            _read.key(at, item, "place", "string"),
+            _read.key(at, item, "count", "integer", 1),
+        ))
     return tuple(flows)
 
 
 def parse_tasking_template(data: Mapping | str) -> TaskingTemplate:
-    if isinstance(data, str):
-        data = json.loads(data)
-    _require_version(data, "tasking template")
-    _check_keys(data, {"version", "colors", "places", "transitions"}, "tasking template")
-    for key in ("colors", "places", "transitions"):
-        if not isinstance(data.get(key), list):
-            raise TemplateError(f'tasking template: "{key}" must be a list')
+    """Parse the tasking-template JSON dialect (object or JSON text)."""
+    what = "tasking template"
+    data = _read.document(what, data)
+    _read.only(what, data, ("version", "colors", "places", "transitions"))
+    colors = _read.strings(what, data, "colors")
+    places = _read.strings(what, data, "places")
     transitions = []
-    for raw in data["transitions"]:
-        _check_keys(raw, {"name", "duration", "inputs", "outputs"}, "transition")
-        if "name" not in raw:
-            raise TemplateError("transition: missing name")
-        transitions.append(
-            Transition(
-                name=raw["name"],
-                inputs=_parse_flows(raw.get("inputs", []), f"transition {raw['name']!r} inputs"),
-                outputs=_parse_flows(raw.get("outputs", []), f"transition {raw['name']!r} outputs"),
-                duration=int(raw.get("duration", 1)),
-            )
-        )
-    return TaskingTemplate(tuple(data["colors"]), tuple(data["places"]), tuple(transitions))
+    for i, raw in enumerate(_read.key(what, data, "transitions", "list")):
+        where = f"{what}.transitions[{i}]"
+        raw = _read.typed(where, raw, "object")
+        _read.only(where, raw, ("name", "duration", "inputs", "outputs"))
+        transitions.append(Transition(
+            name=_read.key(where, raw, "name", "string"),
+            inputs=_parse_flows(where, raw, "inputs"),
+            outputs=_parse_flows(where, raw, "outputs"),
+            duration=_read.key(where, raw, "duration", "integer", 1),
+        ))
+    return TaskingTemplate(tuple(colors), tuple(places), tuple(transitions))
 
 
 def load_tasking_template(path: str | Path) -> TaskingTemplate:
-    return parse_tasking_template(json.loads(Path(path).read_text()))
+    return parse_tasking_template(Path(path).read_text())

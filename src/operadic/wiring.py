@@ -23,7 +23,6 @@ variables.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -398,11 +397,20 @@ def soundness_check(
 # JSON bundles
 
 
+_read = Reader(WiringError)
+
+
 def _parse_ref(text: str) -> PortRef:
     if text.count(".") != 1:
         raise WiringError(f"port reference must be 'boundary.port': {text!r}")
     owner, port = text.split(".")
     return (owner, port)
+
+
+def _named(table: Mapping, name: str, what: str, owner: str):
+    if name not in table:
+        raise WiringError(f"{owner}: unknown {what} {name!r}")
+    return table[name]
 
 
 def parse_wiring_bundle(data: Mapping | str) -> dict[str, WiringOp]:
@@ -418,46 +426,53 @@ def parse_wiring_bundle(data: Mapping | str) -> dict[str, WiringOp]:
 
     Compositions may reference operations or earlier compositions by name.
     """
-    if isinstance(data, str):
-        data = json.loads(data)
-    if data.get("version") != 1:
-        raise WiringError(f"wiring bundle: expected \"version\": 1, got {data.get('version')!r}")
-    unknown = set(data) - {"version", "boundaries", "operations", "compositions"}
-    if unknown:
-        raise WiringError(f"wiring bundle: unknown keys {sorted(unknown)}")
+    data = _read.document("wiring bundle", data)
+    _read.only("wiring bundle", data, ("version", "boundaries", "operations", "compositions"))
+
+    def entries(section: str):
+        for name, raw in _read.key("wiring bundle", data, section, "object", {}).items():
+            where = f"wiring bundle.{section}.{name}"
+            yield name, where, _read.typed(where, raw, "object")
 
     boundaries: dict[str, Boundary] = {}
-    for name, raw in data.get("boundaries", {}).items():
-        ports = tuple(
-            Port(p["name"], p["space"], p.get("direction", "bi")) for p in raw["ports"]
-        )
-        boundaries[name] = Boundary(name, ports)
+    for name, where, raw in entries("boundaries"):
+        ports = []
+        for i, port in enumerate(_read.key(where, raw, "ports", "list")):
+            at = f"{where}.ports[{i}]"
+            port = _read.typed(at, port, "object")
+            ports.append(Port(
+                _read.key(at, port, "name", "string"),
+                _read.key(at, port, "space", "string"),
+                _read.key(at, port, "direction", "string", "bi"),
+            ))
+        boundaries[name] = Boundary(name, tuple(ports))
 
     diagrams: dict[str, WiringOp] = {}
-    for name, raw in data.get("operations", {}).items():
-        try:
-            outer = boundaries[raw["outer"]]
-            inner = tuple(boundaries[b] for b in raw["inner"])
-        except KeyError as missing:
-            raise WiringError(f"operation {name!r}: unknown boundary {missing}") from None
-        wires = [[_parse_ref(ref) for ref in wire] for wire in raw["wires"]]
+    for name, where, raw in entries("operations"):
+        owner = f"operation {name!r}"
+        outer = _named(boundaries, _read.key(where, raw, "outer", "string"), "boundary", owner)
+        inner = tuple(
+            _named(boundaries, b, "boundary", owner) for b in _read.strings(where, raw, "inner")
+        )
+        wires = []
+        for i, wire in enumerate(_read.key(where, raw, "wires", "list")):
+            at = f"{where}.wires[{i}]"
+            wires.append([
+                _parse_ref(_read.typed(f"{at}[{j}]", ref, "string"))
+                for j, ref in enumerate(_read.typed(at, wire, "list"))
+            ])
         diagrams[name] = WiringOp(outer, inner, _canon_wires(wires))
 
-    for name, raw in data.get("compositions", {}).items():
-        try:
-            op = diagrams[raw["op"]]
-            args = [diagrams[a] for a in raw["args"]]
-        except KeyError as missing:
-            raise WiringError(f"composition {name!r}: unknown diagram {missing}") from None
+    for name, where, raw in entries("compositions"):
+        owner = f"composition {name!r}"
+        op = _named(diagrams, _read.key(where, raw, "op", "string"), "diagram", owner)
+        args = [_named(diagrams, a, "diagram", owner) for a in _read.strings(where, raw, "args")]
         diagrams[name] = nest(op, args)
     return diagrams
 
 
 def load_wiring_bundle(path: str | Path) -> dict[str, WiringOp]:
-    return parse_wiring_bundle(json.loads(Path(path).read_text()))
-
-
-_read = Reader(WiringError)
+    return parse_wiring_bundle(Path(path).read_text())
 
 
 def parse_requirements_bundle(
@@ -468,14 +483,8 @@ def parse_requirements_bundle(
     Each requirement is ``{"boundary": B, "name": N, "intervals": {port:
     [[lo, hi], ...]}}``; the grid maps a value space to a list of numbers.
     """
-    if isinstance(data, str):
-        data = json.loads(data)
-    data = _read.typed("requirements", data, "object")
-    if data.get("version") != 1:
-        raise WiringError(f"requirements: expected \"version\": 1, got {data.get('version')!r}")
-    unknown = set(data) - {"version", "components", "outer", "grid"}
-    if unknown:
-        raise WiringError(f"requirements: unknown keys {sorted(unknown)}")
+    data = _read.document("requirements", data)
+    _read.only("requirements", data, ("version", "components", "outer", "grid"))
 
     def parse_span(where: str, span) -> tuple[float, float]:
         span = _read.typed(where, span, "list")
@@ -510,4 +519,4 @@ def parse_requirements_bundle(
 
 
 def load_requirements_bundle(path: str | Path):
-    return parse_requirements_bundle(json.loads(Path(path).read_text()))
+    return parse_requirements_bundle(Path(path).read_text())

@@ -644,25 +644,42 @@ RESCUE = {
 }
 for agent in RESCUE["agents"]:
     agent.update(fuel_init=8, fuel_max=10, fuel_min=2)
-PLAN_AND_FAILURE_SITES = [("failure", path) for path, _ in json_paths(FAILURE)] + [
-    ("plan-scenario", path) for path, _ in json_paths(RESCUE)
+DOCUMENTS = {
+    "failure": FAILURE,
+    "plan-scenario": RESCUE,
+    "tasking-template": json.loads((DATA / "rescue_tasking.json").read_text()),
+    "network-template": json.loads((DATA / "sailboat_template.json").read_text()),
+    "wiring": json.loads((DATA / "lsi_wiring.json").read_text()),
+}
+DIALECT_SITES = [
+    (dialect, path) for dialect, doc in DOCUMENTS.items() for path, _ in json_paths(doc)
 ]
 
 
 def command_json(capsys, dialect, path):
-    """Run the command that consumes ``dialect``: analyze failure or plan."""
-    if dialect == "failure":
-        argv = ("analyze", "failure", path)
-    else:
-        argv = ("plan", str(DATA / "rescue_tasking.json"), path, "--node-cap", "20000")
+    """Run the command that reads the ``dialect`` file at ``path``."""
+    argv = {
+        "failure": ("analyze", "failure", path),
+        "plan-scenario": ("plan", str(DATA / "rescue_tasking.json"), path, "--node-cap", "20000"),
+        "tasking-template": (
+            "plan", path, str(DATA / "rescue_scenario.json"), "--node-cap", "20000",
+        ),
+        "network-template": (
+            "synthesize", path, str(DATA / "sailboat_catalog.json"),
+            str(DATA / "sailboat_synthesis.json"), "--max-nodes", "2",
+        ),
+        "wiring": (
+            "analyze", "soundness", path, "flat_functional", str(DATA / "lsi_requirements.json"),
+        ),
+    }[dialect]
     code, out, _ = run(capsys, "--json", *argv)
     return code, json.loads(out)
 
 
 class TestPlanAndFailureDialects:
-    """The failure bundle and the plan-scenario goal, risk and objective are
-    read through the typed reader, and ``validate`` rejects what the
-    commands reject on the dialect alone."""
+    """The failure bundle, the plan scenario, both templates and the wiring
+    bundle are read through the typed reader, and ``validate`` rejects what
+    the commands reject on the dialect alone."""
 
     @pytest.mark.parametrize("dialect,edit,message", [
         ("failure", lambda d: d.update(distributions=[1]),
@@ -685,11 +702,30 @@ class TestPlanAndFailureDialects:
         ("plan-scenario", lambda d: d["risk"].update(transition_factors=[0.9]),
          "scenario.risk.transition_factors: expected object, got list"),
         ("plan-scenario", lambda d: d.update(objective="bogus"), "unknown objective 'bogus'"),
+        ("tasking-template", lambda d: d["transitions"][0].update(duration=2.5),
+         "tasking template.transitions[0].duration: expected integer, got float"),
+        ("tasking-template", lambda d: d["transitions"][0].update(duration="x"),
+         "tasking template.transitions[0].duration: expected integer, got str"),
+        ("tasking-template", lambda d: d["transitions"][0]["inputs"][0].update(count="1"),
+         "tasking template.transitions[0].inputs[0].count: expected integer, got str"),
+        ("tasking-template", lambda d: d["transitions"][0].update(name=5),
+         "tasking template.transitions[0].name: expected string, got int"),
+        ("wiring", lambda d: d["boundaries"]["LSI"]["ports"][0].pop("space"),
+         "wiring bundle.boundaries.LSI.ports[0]: missing key 'space'"),
+        ("wiring", lambda d: d.update(operations=[1]),
+         "wiring bundle.operations: expected object, got list"),
+        ("network-template",
+         lambda d: d["directed"].update(carrying={"pairs": d["directed"]["carrying"], "loops": "no"}),
+         "network template.directed.carrying.loops: expected boolean, got str"),
+        ("plan-scenario", lambda d: d["fuel"]["refuel"].update(t3=[7]),
+         "scenario.fuel.refuel.t3[0]: expected string, got int"),
+        ("failure", lambda d: d.update(version=True),
+         'failure bundle: expected "version": 1, got True'),
     ])
     def test_validate_and_command_give_the_dialects_error(
         self, capsys, tmp_path, dialect, edit, message
     ):
-        data = json.loads(json.dumps(FAILURE if dialect == "failure" else RESCUE))
+        data = json.loads(json.dumps(DOCUMENTS[dialect]))
         edit(data)
         path = write_json(tmp_path, "bad.json", data)
         v_code, v_doc = validate_json(capsys, dialect, path)
@@ -698,24 +734,24 @@ class TestPlanAndFailureDialects:
         assert v_doc["error"] == c_doc["error"] == message
 
     def test_unmutated_inputs_are_accepted(self, capsys, tmp_path):
-        for dialect, data in (("failure", FAILURE), ("plan-scenario", RESCUE)):
+        for dialect, data in DOCUMENTS.items():
             path = write_json(tmp_path, "ok.json", data)
             assert validate_json(capsys, dialect, path)[0] == 0
             assert command_json(capsys, dialect, path)[0] == 0
 
     @settings(
-        max_examples=120,
+        max_examples=400,
         deadline=None,
         derandomize=True,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        site=st.sampled_from(PLAN_AND_FAILURE_SITES),
+        site=st.sampled_from(DIALECT_SITES),
         kind=st.sampled_from(["drop", "wrong_type", "negate", "swap"]),
     )
     def test_mutated_input_ends_in_one_envelope(self, capsys, tmp_path, site, kind):
         dialect, path = site
-        data = mutate(FAILURE if dialect == "failure" else RESCUE, path, kind)
+        data = mutate(DOCUMENTS[dialect], path, kind)
         if data is None:
             return
         mutant = write_json(tmp_path, "mutant.json", data)

@@ -7,12 +7,16 @@ from operadic.lp import LpConstraint, LpError, LpModel, parse_lp, write_lp
 from operadic.planner import (
     Agent,
     FuelSpec,
+    Infeasible,
+    Level,
     RiskSpec,
+    Solution,
     add_fuel_semantics,
     add_risk_semantics,
     compile_timed,
     compile_untimed,
     export_lp,
+    solve,
 )
 from operadic.template import TaskingTemplate, TokenFlow, Transition
 
@@ -286,3 +290,114 @@ class TestPlannerExport:
             again = parse_lp(text)
             assert again == model
             assert write_lp(again) == text
+
+
+def highs_optimum(model: LpModel):
+    """Solve ``model`` with HiGHS through scipy; None when it is infeasible.
+
+    Bounds read as the LP text does: a missing lower bound is 0 unless the
+    variable is free, a missing upper bound is +inf.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    names = model.variables()
+    col = {v: i for i, v in enumerate(names)}
+    sign = -1.0 if model.sense == "max" else 1.0
+    c = np.zeros(len(names))
+    for v, coef in model.objective:
+        c[col[v]] += sign * coef
+    rows = np.zeros((len(model.constraints), len(names)))
+    lo = np.full(len(model.constraints), -np.inf)
+    hi = np.full(len(model.constraints), np.inf)
+    for r, row in enumerate(model.constraints):
+        for v, coef in row.terms:
+            rows[r, col[v]] += coef
+        if row.sense != "<=":
+            lo[r] = row.rhs
+        if row.sense != ">=":
+            hi[r] = row.rhs
+    lb, ub = np.zeros(len(names)), np.full(len(names), np.inf)
+    for v, low, high in model.bounds:
+        lb[col[v]] = -np.inf if low is None and high is None else (low or 0.0)
+        ub[col[v]] = np.inf if high is None else high
+    integrality = np.zeros(len(names))
+    for v in model.binaries + model.generals:
+        integrality[col[v]] = 1
+    for v in model.binaries:
+        lb[col[v]], ub[col[v]] = max(lb[col[v]], 0.0), min(ub[col[v]], 1.0)
+    result = milp(
+        c,
+        constraints=[LinearConstraint(rows, lo, hi)] if len(model.constraints) else [],
+        integrality=integrality,
+        bounds=Bounds(lb, ub),
+        options={"mip_rel_gap": 0.0},
+    )
+    if result.status == 2:
+        return None
+    assert result.status == 0, result.message
+    return sign * result.fun
+
+
+def oracle_instance(rng: random.Random, i: int):
+    """A seeded micro-net cycling through level and objective, with a goal
+    that is often out of reach.  Every other group of six carries fuel: the
+    first agent starts low and burns at every place, so it outlasts a long
+    horizon only by refuelling; the others start full."""
+    template, agents = random_micro_net(rng)
+    colors = sorted({tr.inputs[0].color for tr in template.transitions})
+    agents += tuple(
+        Agent(f"x{k}", rng.choice(colors), rng.choice(template.places))
+        for k in range(rng.randint(0, 2))
+    )
+    objective = ("feasible", "min_makespan", "max_survival")[i % 3]
+    build = compile_timed if (i // 3) % 2 == 0 else compile_untimed
+    goal = {(rng.choice(template.places), rng.choice(colors)): rng.randint(1, 3)
+            for _ in range(rng.randint(0, 2))}
+    low = agents[0].color
+    fuel = None
+    if (i // 6) % 2 == 0:
+        init = float(rng.randint(1, 2))
+        agents = (Agent(agents[0].id, low, agents[0].start, init, init + 3),) + tuple(
+            Agent(a.id, a.color, a.start, 9.0, 9.0) for a in agents[1:]
+        )
+        names = [tr.name for tr in template.transitions]
+        fuel = FuelSpec(
+            burn_rates={(c, p): 1.0 if c == low else float(rng.randint(0, 1))
+                        for c in colors for p in template.places},
+            task_costs={n: {c: float(rng.randint(0, 2)) for c in colors}
+                        for n in names if rng.random() < 0.3},
+            refuel={n: (low,) for n in names if rng.random() < 0.7},
+        )
+    cs = build(template, agents, rng.randint(1, 4), goal, objective)
+    if fuel is not None:
+        cs = add_fuel_semantics(cs, fuel)
+    if objective == "max_survival":
+        cs = add_risk_semantics(cs, RiskSpec(
+            place_factors={(c, p): rng.choice((0.5, 0.8, 0.9, 1.0))
+                           for c in colors for p in template.places},
+            transition_factors={tr.name: rng.choice((0.7, 0.9, 1.0))
+                                for tr in template.transitions},
+        ))
+    return cs
+
+
+def test_lp_model_agrees_with_dfs_under_highs():
+    # An independent oracle: HiGHS on the exported model must agree with the
+    # exact DFS on feasibility and on the optimal objective value.
+    pytest.importorskip("scipy")
+    rng = random.Random(20261019)
+    kinds = {"infeasible": 0, "solved": 0, "fuel": 0, "refuel": 0, "plan": 0}
+    for i in range(150):
+        cs = oracle_instance(rng, i)
+        outcome = solve(cs)
+        optimum = highs_optimum(cs.lp_model())
+        assert isinstance(outcome, (Solution, Infeasible)), i
+        assert (optimum is None) == isinstance(outcome, Infeasible), i
+        if isinstance(outcome, Solution) and cs.objective != "feasible":
+            assert optimum == pytest.approx(outcome.objective_value, abs=1e-6), i
+        kinds["infeasible" if optimum is None else "solved"] += 1
+        kinds["fuel"] += cs.fuel is not None
+        kinds["refuel"] += bool(cs.fuel and cs.fuel.refuel)
+        kinds["plan"] += cs.level is Level.PLAN
+    assert min(kinds.values()) >= 25, kinds

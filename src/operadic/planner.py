@@ -1279,6 +1279,7 @@ def parse_plan_scenario(data: Mapping | str) -> PlanScenario:
             if not isinstance(raw, Mapping) or key not in raw:
                 raise PlannerError(f"scenario: agent {i} has no {key!r}")
         where = f"scenario.agents[{i}]"
+        _read.only(where, raw, ("id", "color", "start", "fuel_init", "fuel_max", "fuel_min"))
         agents.append(
             Agent(
                 id=_read.typed(f"{where}.id", raw["id"], "string"),
@@ -1301,6 +1302,7 @@ def parse_plan_scenario(data: Mapping | str) -> PlanScenario:
     if "fuel" in data:
         raw = _read.key("scenario", data, "fuel", "object")
         where = "scenario.fuel"
+        _read.only(where, raw, ("burn_rates", "task_costs", "refuel", "literal_update"))
         burn = _read.key(where, raw, "burn_rates", "object", {})
         costs = _read.key(where, raw, "task_costs", "object", {})
         refuel = _read.key(where, raw, "refuel", "object", {})
@@ -1321,6 +1323,7 @@ def parse_plan_scenario(data: Mapping | str) -> PlanScenario:
     if "risk" in data:
         raw = _read.key("scenario", data, "risk", "object")
         where = "scenario.risk"
+        _read.only(where, raw, ("place_factors", "transition_factors"))
         places = _read.key(where, raw, "place_factors", "object", {})
         risk = RiskSpec(
             place_factors={

@@ -13,7 +13,11 @@ all component requirements, and the soundness check asks whether every
 jointly valid state also satisfies the outer requirements.  Each interval
 test reads one port, hence one wire, so requirements are unary on wires:
 the jointly valid states are the product of each wire's admitted grid
-values, and the full grid product is never walked.
+values, and the full grid product is never walked.  Soundness is decided
+per wire as well: the number of states checked is a product of per-wire
+counts, a sound bundle builds no state at all, and an unsound one lists
+every counterexample, uncapped and in grid order, completing to whole
+states only the partial states that already break an outer requirement.
 
 Port direction is carried and linted (an all-``in`` wire is suspicious) but
 never enforced; the LSI-style diagrams this models treat wires as shared
@@ -22,7 +26,10 @@ variables.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -320,17 +327,15 @@ def _resolve_requirements(op: WiringOp, reqs: Sequence[Requirement]) -> list[tup
     return resolved
 
 
-def joint_validity(
+def _wire_samples(
     op: WiringOp,
     reqs: Sequence[Requirement],
     grid: Mapping[str, Sequence[float]],
-) -> ValidityResult:
-    """Enumerate internal states (one value per wire) meeting every requirement.
+) -> list[tuple[float, ...]]:
+    """Each wire's grid samples, in grid order, that every requirement admits.
 
-    ``grid`` supplies the finite sample set per value space; every wire's
-    space must be present.  Each requirement port constrains one wire only,
-    so the valid states are the product of each wire's admitted samples, in
-    the lexicographic order of the full grid.
+    Every wire's space must be in ``grid`` and have samples; these errors
+    come before any requirement is resolved.
     """
     samples = []
     for wire in op.wires:
@@ -345,8 +350,23 @@ def joint_validity(
     for req, port_to_wire in _resolve_requirements(op, reqs):
         for port, w in port_to_wire.items():
             samples[w] = tuple(v for v in samples[w] if _in_spans(v, req.intervals[port]))
+    return samples
+
+
+def joint_validity(
+    op: WiringOp,
+    reqs: Sequence[Requirement],
+    grid: Mapping[str, Sequence[float]],
+) -> ValidityResult:
+    """Enumerate internal states (one value per wire) meeting every requirement.
+
+    ``grid`` supplies the finite sample set per value space; every wire's
+    space must be present.  Each requirement port constrains one wire only,
+    so the valid states are the product of each wire's admitted samples, in
+    the lexicographic order of the full grid.
+    """
     labels = tuple(op.wire_label(w) for w in op.wires)
-    return ValidityResult(labels, tuple(itertools.product(*samples)))
+    return ValidityResult(labels, tuple(itertools.product(*_wire_samples(op, reqs, grid))))
 
 
 @dataclass(frozen=True)
@@ -373,9 +393,16 @@ def soundness_check(
 ) -> SoundnessReport:
     """Do the component requirements entail the outer ones on the grid?
 
-    Every jointly valid internal state is projected to the outer boundary and
-    tested against ``outer_reqs``; failures are returned as (state, violated
-    requirement) counterexamples.
+    The jointly valid states are the product of each wire's admitted
+    samples, and every outer port tests one wire, so the check is decided
+    per wire: ``checked`` is the product of the per-wire counts, and the
+    bundle is sound when no outer port rejects a value of its wire.  No
+    state is built for a sound bundle.  Otherwise a state breaks an outer
+    requirement when any of its wire values does, and every (state,
+    violated requirement) pair is listed, uncapped: states in grid order,
+    then requirements in the order given.  The walk takes every choice of
+    values up to the last wire that has a breaking value, and completes to
+    whole states only the choices that break something.
     """
     for req in outer_reqs:
         if req.boundary != op.outer.name:
@@ -383,14 +410,37 @@ def soundness_check(
                 f"outer requirement {req.name!r} names boundary {req.boundary!r}, "
                 f"expected {op.outer.name!r}"
             )
-    joint = joint_validity(op, component_reqs, grid)
+    samples = _wire_samples(op, component_reqs, grid)
     resolved = _resolve_requirements(op, outer_reqs)
+    checked = math.prod(len(values) for values in samples)
+    # breaks[w][i]: bit r is set when samples[w][i] breaks outer requirement r
+    breaks = [[0] * len(values) for values in samples]
+    for r, (req, port_to_wire) in enumerate(resolved):
+        for port, w in port_to_wire.items():
+            for i, v in enumerate(samples[w]):
+                if not _in_spans(v, req.intervals[port]):
+                    breaks[w][i] |= 1 << r
+    breaking = [w for w, masks in enumerate(breaks) if any(masks)]
+    if not checked or not breaking:
+        return SoundnessReport(True, checked, ())
+
+    # past the last breaking wire a state's mask is fixed, so a head whose
+    # values break nothing is skipped with its whole tail; every tail is a
+    # counterexample of some head, so the list costs no more than the report
+    split = breaking[-1] + 1
+    labels = tuple(op.wire_label(w) for w in op.wires)
+    tail = list(itertools.product(*samples[split:]))
     counterexamples = []
-    for state in joint.states:
-        for req, port_to_wire in resolved:
-            if not all(_in_spans(state[w], req.intervals[p]) for p, w in port_to_wire.items()):
-                counterexamples.append((dict(zip(joint.labels, state)), req.name))
-    return SoundnessReport(not counterexamples, joint.count, tuple(counterexamples))
+    heads = zip(itertools.product(*samples[:split]), itertools.product(*breaks[:split]))
+    for values, masks in heads:
+        mask = functools.reduce(operator.or_, masks)
+        if not mask:
+            continue
+        violated = [req.name for r, (req, _) in enumerate(resolved) if mask >> r & 1]
+        for rest in tail:
+            state = values + rest
+            counterexamples.extend((dict(zip(labels, state)), name) for name in violated)
+    return SoundnessReport(False, checked, tuple(counterexamples))
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +486,12 @@ def parse_wiring_bundle(data: Mapping | str) -> dict[str, WiringOp]:
 
     boundaries: dict[str, Boundary] = {}
     for name, where, raw in entries("boundaries"):
+        _read.only(where, raw, ("ports",))
         ports = []
         for i, port in enumerate(_read.key(where, raw, "ports", "list")):
             at = f"{where}.ports[{i}]"
             port = _read.typed(at, port, "object")
+            _read.only(at, port, ("name", "space", "direction"))
             ports.append(Port(
                 _read.key(at, port, "name", "string"),
                 _read.key(at, port, "space", "string"),
@@ -449,6 +501,7 @@ def parse_wiring_bundle(data: Mapping | str) -> dict[str, WiringOp]:
 
     diagrams: dict[str, WiringOp] = {}
     for name, where, raw in entries("operations"):
+        _read.only(where, raw, ("outer", "inner", "wires"))
         owner = f"operation {name!r}"
         outer = _named(boundaries, _read.key(where, raw, "outer", "string"), "boundary", owner)
         inner = tuple(
@@ -464,6 +517,7 @@ def parse_wiring_bundle(data: Mapping | str) -> dict[str, WiringOp]:
         diagrams[name] = WiringOp(outer, inner, _canon_wires(wires))
 
     for name, where, raw in entries("compositions"):
+        _read.only(where, raw, ("op", "args"))
         owner = f"composition {name!r}"
         op = _named(diagrams, _read.key(where, raw, "op", "string"), "diagram", owner)
         args = [_named(diagrams, a, "diagram", owner) for a in _read.strings(where, raw, "args")]
@@ -497,6 +551,7 @@ def parse_requirements_bundle(
         for i, raw in enumerate(_read.key("requirements", data, key, "list", [])):
             where = f"{key}[{i}]"
             raw = _read.typed(where, raw, "object")
+            _read.only(where, raw, ("boundary", "name", "intervals"))
             intervals = {}
             for port, spans in _read.key(where, raw, "intervals", "object").items():
                 at = f"{where}.intervals.{port}"

@@ -417,6 +417,15 @@ class TestRequirementsDialect:
         assert code == 1 and doc["ok"] is False
         assert "grid.temperature" in doc["error"]
 
+    def test_misspelt_requirement_key(self, capsys, tmp_path):
+        data = json.loads(json.dumps(REQUIREMENTS))
+        data["outer"][0]["interval"] = data["outer"][0]["intervals"]
+        path = write_json(tmp_path, "r.json", data)
+        v_code, v_doc = validate_json(capsys, "requirements", path)
+        c_code, c_doc, _ = soundness_json(capsys, path)
+        assert (v_code, c_code) == (1, 1)
+        assert v_doc["error"] == c_doc["error"] == "outer[0]: unknown keys ['interval']"
+
     @settings(
         max_examples=150,
         deadline=None,
@@ -721,6 +730,10 @@ class TestPlanAndFailureDialects:
          "scenario.fuel.refuel.t3[0]: expected string, got int"),
         ("failure", lambda d: d.update(version=True),
          'failure bundle: expected "version": 1, got True'),
+        ("wiring", lambda d: d["boundaries"]["LSI"]["ports"][0].update(dir="in"),
+         "wiring bundle.boundaries.LSI.ports[0]: unknown keys ['dir']"),
+        ("plan-scenario", lambda d: d["agents"][0].update(fuel_int=8),
+         "scenario.agents[0]: unknown keys ['fuel_int']"),
     ])
     def test_validate_and_command_give_the_dialects_error(
         self, capsys, tmp_path, dialect, edit, message

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -371,3 +372,61 @@ def test_requirements_layer_matches_brute_force_reference(lsi):
         unsound += not report.sound
     # the generator must reach both verdicts on non-empty valid sets
     assert nonempty > 80 and 20 < unsound < nonempty - 20
+
+
+# ---------------------------------------------------------------------------
+# soundness decided per wire: edge cases
+
+
+def test_empty_filtered_wire_checks_no_state(lsi, lsi_reqs):
+    comps, _, grid = lsi_reqs
+    # no grid temperature lies in the bath's band, so its wire admits nothing,
+    # while the outer requirement rejects values of other wires
+    empty = [*comps, Requirement("Bath", "bath_cold", {"setPt": [(0.0, 1.0)]})]
+    report = soundness_check(lsi["flat_functional"], empty, [
+        Requirement("LSI", "lsi_no_signal", {"intensity": [(5.0, 6.0)]})
+    ], grid)
+    assert report.sound and report.checked == 0 and not report.counterexamples
+
+
+def test_outer_requirement_with_two_ports_on_one_wire():
+    # outer ports a and b share one wire with S.x
+    outer = toy_boundary("O", ("a", "v"), ("b", "v"))
+    inner = toy_boundary("S", ("x", "v"))
+    op = WiringOp(outer, (inner,), (frozenset({("O", "a"), ("O", "b"), ("S", "x")}),))
+    req = Requirement("O", "a_low_b_high", {"a": [(0.0, 1.0)], "b": [(1.0, 2.0)]})
+    grid = {"v": [0.0, 1.0, 2.0]}
+    report = soundness_check(op, [], [req], grid)
+    # 0.0 breaks b and 2.0 breaks a; each state is listed once
+    assert report.checked == 3
+    assert report.counterexamples == (
+        ({"O.a": 0.0}, "a_low_b_high"),
+        ({"O.a": 2.0}, "a_low_b_high"),
+    )
+    assert report.counterexamples == reference_soundness(op, [], [req], grid)[2]
+
+
+def test_duplicate_grid_values_are_distinct_states(lsi, lsi_reqs):
+    comps, _, grid = lsi_reqs
+    grid = {**grid, "signal": [1.0, 0.0, 1.0]}
+    outer = [
+        Requirement("LSI", "lsi_signal_low", {"intensity": [(0.0, 0.5)]}),
+        Requirement("LSI", "lsi_lab_warm", {"temp1": [(20.0, 20.2)]}),
+    ]
+    op = lsi["flat_functional"]
+    report = soundness_check(op, comps, outer, grid)
+    _, valid, counterexamples = reference_soundness(op, comps, outer, grid)
+    assert report.checked == len(valid) == 36
+    assert report.counterexamples == counterexamples
+    assert sum(state["Chassis.intensity"] == 1.0 for state, _ in counterexamples) > 0
+
+
+def test_sound_grid_of_five_to_the_eleventh_is_decided_per_wire(lsi):
+    op = lsi["flat_functional"]
+    grid = {op.wire_space(w): [0.0, 1.0, 2.0, 3.0, 4.0] for w in op.wires}
+    outer = [Requirement("LSI", "lsi_in_range", {"temp1": [(0.0, 4.0)], "h2o": [(-1.0, 5.0)]})]
+    started = time.perf_counter()
+    report = soundness_check(op, [], outer, grid)
+    elapsed = time.perf_counter() - started
+    assert report.sound and report.checked == 5**11 == 48_828_125
+    assert elapsed < 0.5, f"a sound 5^11 grid took {elapsed:.3f} s"

@@ -1,10 +1,10 @@
 """The command's output against the stored golden envelopes in ``tests/golden``.
 
 Rewriting a golden file is a deliberate step: run ``tests/golden/regen.py``
+with the names of the cases to rewrite (``--check`` only prints the diffs),
 and name the rewritten files, and why, in CHANGES.md.
 """
 
-import difflib
 import importlib.util
 from pathlib import Path
 
@@ -22,8 +22,4 @@ def test_envelope_matches_golden(name):
     want = (GOLDEN / name).read_text()
     got = regen.golden(name)
     if got != want:
-        diff = "".join(difflib.unified_diff(
-            want.splitlines(keepends=True), got.splitlines(keepends=True),
-            fromfile=f"golden/{name}", tofile="now",
-        ))
-        pytest.fail(f"{name} differs from its golden file:\n{diff}")
+        pytest.fail(f"{name} differs from its golden file:\n{regen.diff(name, want, got)}")

@@ -6,12 +6,15 @@ malformed input ends in that error (exit 1 with an envelope at the command
 line), never in a raw ``KeyError``, ``ValueError`` or ``TypeError``.  A
 boolean is neither a number nor an integer, and an integer kind rejects
 ``2.5``, ``2.0`` and ``"2"``; only the boolean kind reads ``true`` and
-``false``.
+``false``.  A number must be finite: Python's ``json`` reads ``NaN``,
+``Infinity`` and ``-Infinity`` (and ``1e400`` as infinity), but JSON has no
+such values.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, Mapping
 
 _JSON_KINDS = {
@@ -49,6 +52,8 @@ class Reader:
     def typed(self, where: str, value, kind: str):
         """Return ``value`` if it has the JSON ``kind``."""
         if isinstance(value, _JSON_KINDS[kind]) and (kind == "boolean") == isinstance(value, bool):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise self.error(f"{where}: expected finite number, got {value!r}")
             return value
         raise self.error(f"{where}: expected {kind}, got {type(value).__name__}")
 

@@ -68,40 +68,50 @@ def _num(x: float) -> str:
     return repr(f)
 
 
-def _expr(terms: Sequence[tuple[str, float]]) -> str:
-    if not terms:
-        return ""
-    parts: list[str] = []
-    for i, (var, coef) in enumerate(terms):
-        mag = abs(coef)
-        body = var if mag == 1.0 else f"{_num(mag)} {var}"
-        if i == 0:
-            parts.append(f"- {body}" if coef < 0 else body)
-        else:
-            parts.append(f"{'-' if coef < 0 else '+'} {body}")
-    return " ".join(parts)
-
-
 def write_lp(model: LpModel) -> str:
+    # each distinct number is rendered once per call; ``prefix`` maps a
+    # coefficient to the text before its variable, sign and magnitude, so a
+    # coefficient of exactly +-1 formats no number
+    rendered: dict[float, str] = {}
+    prefix: dict[float, str] = {1.0: "+ ", -1.0: "- "}
+
+    def num(x: float) -> str:
+        text = rendered.get(x)
+        if text is None:
+            text = rendered[x] = _num(x)
+        return text
+
+    def new_prefix(coef: float) -> str:
+        text = prefix[coef] = f"{'-' if coef < 0 else '+'} {num(abs(coef))} "
+        return text
+
+    def expr(terms: Sequence[tuple[str, float]]) -> str:
+        if not terms:
+            return ""
+        get = prefix.get
+        text = " ".join([(get(coef) or new_prefix(coef)) + var for var, coef in terms])
+        # a positive first term carries no sign
+        return text[2:] if text[0] == "+" else text
+
     lines: list[str] = []
     lines.append("Minimize" if model.sense == "min" else "Maximize")
-    lines.append(f" {model.objective_name}: {_expr(model.objective)}".rstrip())
+    lines.append(f" {model.objective_name}: {expr(model.objective)}".rstrip())
     lines.append("Subject To")
     for c in model.constraints:
-        lines.append(f" {c.name}: {_expr(c.terms)} {c.sense} {_num(c.rhs)}")
+        lines.append(f" {c.name}: {expr(c.terms)} {c.sense} {num(c.rhs)}")
     if model.bounds:
         lines.append("Bounds")
         for name, lo, hi in model.bounds:
             if lo is None and hi is None:
                 lines.append(f" {name} free")
             elif lo is not None and hi is not None and lo == hi:
-                lines.append(f" {name} = {_num(lo)}")
+                lines.append(f" {name} = {num(lo)}")
             elif lo is None:
-                lines.append(f" {name} <= {_num(hi)}")
+                lines.append(f" {name} <= {num(hi)}")
             elif hi is None:
-                lines.append(f" {name} >= {_num(lo)}")
+                lines.append(f" {name} >= {num(lo)}")
             else:
-                lines.append(f" {_num(lo)} <= {name} <= {_num(hi)}")
+                lines.append(f" {num(lo)} <= {name} <= {num(hi)}")
     if model.binaries:
         lines.append("Binary")
         lines.extend(f" {v}" for v in model.binaries)

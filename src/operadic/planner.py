@@ -201,12 +201,10 @@ def _duration(level: Level, b: TaskBinding) -> int:
     return b.duration if level is Level.TIMED else 1
 
 
-def _mvar(place: str, t: int, agent: str) -> str:
-    return f"m_{place}{t}_{agent}"
-
-
-def _fvar(agent: str, t: int) -> str:
-    return f"f_{agent}_{t}"
+def _terms(names: Sequence[str], coef: float) -> list[tuple[str, float]]:
+    """One ``(name, coef)`` term per name, made once and shared by every row
+    that uses it."""
+    return [(n, coef) for n in names]
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +379,23 @@ class ConstraintSystem:
 
     def variable_names(self) -> dict[str, list[str]]:
         """The documented naming scheme for every decision variable."""
-        m_vars = [
-            _mvar(p, t, a.id)
-            for t in range(self.steps + 1)
-            for a in self.agents
-            for p in self.places
-        ]
+        m_vars = [n for tick in self._m_names() for row in tick for n in row]
         s_vars = list(self._start_vars().values())
         f_vars = []
         if self.fuel is not None:
-            f_vars = [_fvar(a.id, t) for t in range(self.steps + 1) for a in self.agents]
+            f_vars = [n for tick in self._f_names() for n in tick]
         return {"m": m_vars, "s": s_vars, "f": f_vars}
+
+    def _m_names(self) -> list[list[list[str]]]:
+        """``m_{place}{t}_{agent}`` per tick, then agent, then place."""
+        return [
+            [[f"m_{p}{t}_{a.id}" for p in self.places] for a in self.agents]
+            for t in range(self.steps + 1)
+        ]
+
+    def _f_names(self) -> list[list[str]]:
+        """``f_{agent}_{t}`` per tick, then agent."""
+        return [[f"f_{a.id}_{t}" for a in self.agents] for t in range(self.steps + 1)]
 
     def _start_vars(self) -> dict[tuple[int, int], str]:
         """Start-variable name per (binding index, start time) pair that fits
@@ -407,117 +411,125 @@ class ConstraintSystem:
             if len(group) > 1
             for j, bi in enumerate(group)
         }
+        # per binding: its index, the last tick it may start at, and the
+        # parts of its name either side of the start tick
+        parts = []
+        for bi, b in enumerate(self.bindings):
+            d = self.duration(b)
+            parts.append((bi, self.steps - d, f"s_{b.name}", f"d{d}_{b.label()}{suffix.get(bi, '')}"))
         names = {}
         for t in range(self.steps):
-            for bi, b in enumerate(self.bindings):
-                d = self.duration(b)
-                if t + d <= self.steps:
-                    names[(bi, t)] = f"s_{b.name}{t}d{d}_{b.label()}{suffix.get(bi, '')}"
+            for bi, last, head, tail in parts:
+                if t <= last:
+                    names[(bi, t)] = f"{head}{t}{tail}"
         return names
 
     def lp_model(self) -> LpModel:
-        color_of = {a.id: a.color for a in self.agents}
+        agents, places, steps = self.agents, self.places, self.steps
         svars = self._start_vars()
+        index = {a.id: k for k, a in enumerate(agents)}
+        column = {p: j for j, p in enumerate(places)}
+        durations = [self.duration(b) for b in self.bindings]
+        # per binding: (agent index, source column, target column) per move
+        moves = [
+            [(index[agent], column[src], column[dst]) for agent, src, dst in b.moves]
+            for b in self.bindings
+        ]
+        m = self._m_names()
+        m_plus = [[_terms(row, 1.0) for row in tick] for tick in m]
+        m_minus = [[_terms(row, -1.0) for row in tick] for tick in m]
+        s_plus = dict(zip(svars.values(), _terms(svars.values(), 1.0)))
+        s_minus = dict(zip(svars.values(), _terms(svars.values(), -1.0)))
         constraints: list[LpConstraint] = []
         bounds: list[tuple[str, float | None, float | None]] = []
-        binaries: list[str] = []
         generals: list[str] = []
 
-        for t in range(self.steps + 1):
-            for a in self.agents:
-                for p in self.places:
-                    binaries.append(_mvar(p, t, a.id))
+        binaries = [n for tick in m for row in tick for n in row]
         binaries.extend(svars.values())
 
         # initial marking
-        for a in self.agents:
-            for p in self.places:
-                bounds.append((_mvar(p, 0, a.id), 1.0 if p == a.start else 0.0, 1.0 if p == a.start else 0.0))
+        for a, row in zip(agents, m[0]):
+            for p, name in zip(places, row):
+                bounds.append((name, 1.0 if p == a.start else 0.0, 1.0 if p == a.start else 0.0))
 
-        departures: dict[tuple[str, str, int], list[str]] = {}
-        arrivals: dict[tuple[str, str, int], list[str]] = {}
-        midtask: dict[tuple[str, int], list[str]] = {}
+        # start terms per tick, agent and place: +1 departures, -1 arrivals;
+        # +1 mid-task per tick and agent
+        departures = [[[[] for _ in places] for _ in agents] for _ in range(steps + 1)]
+        arrivals = [[[[] for _ in places] for _ in agents] for _ in range(steps + 1)]
+        midtask = [[[] for _ in agents] for _ in range(steps + 1)]
         for (bi, t), var in svars.items():
-            b = self.bindings[bi]
-            d = self.duration(b)
-            for agent, src, dst in b.moves:
-                departures.setdefault((agent, src, t), []).append(var)
-                arrivals.setdefault((agent, dst, t + d), []).append(var)
+            d = durations[bi]
+            plus, minus = s_plus[var], s_minus[var]
+            for k, src, dst in moves[bi]:
+                departures[t][k][src].append(plus)
+                arrivals[t + d][k][dst].append(minus)
                 for mid in range(t + 1, t + d):
-                    midtask.setdefault((agent, mid), []).append(var)
+                    midtask[mid][k].append(plus)
 
         # flow: m_{t+1} - m_t + departures(t) - arrivals(t+1) = 0
-        for t in range(self.steps):
-            for a in self.agents:
-                for p in self.places:
-                    terms: list[tuple[str, float]] = [
-                        (_mvar(p, t + 1, a.id), 1.0),
-                        (_mvar(p, t, a.id), -1.0),
-                    ]
-                    terms += [(v, 1.0) for v in departures.get((a.id, p, t), [])]
-                    terms += [(v, -1.0) for v in arrivals.get((a.id, p, t + 1), [])]
-                    constraints.append(LpConstraint(f"flow_{p}{t}_{a.id}", tuple(terms), "=", 0.0))
+        for t in range(steps):
+            for k, a in enumerate(agents):
+                now, later = m_minus[t][k], m_plus[t + 1][k]
+                leave, land = departures[t][k], arrivals[t + 1][k]
+                for j, p in enumerate(places):
+                    constraints.append(LpConstraint(
+                        f"flow_{p}{t}_{a.id}", (later[j], now[j], *leave[j], *land[j]), "=", 0.0
+                    ))
 
         # sources available: sum of starts using (agent, place) <= m
-        for t in range(self.steps):
-            for a in self.agents:
-                for p in self.places:
-                    starts = departures.get((a.id, p, t), [])
-                    if starts:
-                        terms = [(v, 1.0) for v in starts] + [(_mvar(p, t, a.id), -1.0)]
-                        constraints.append(
-                            LpConstraint(f"avail_{p}{t}_{a.id}", tuple(terms), "<=", 0.0)
-                        )
+        for t in range(steps):
+            for k, a in enumerate(agents):
+                now, leave = m_minus[t][k], departures[t][k]
+                for j, p in enumerate(places):
+                    if leave[j]:
+                        constraints.append(LpConstraint(
+                            f"avail_{p}{t}_{a.id}", (*leave[j], now[j]), "<=", 0.0
+                        ))
 
         # occupancy: at a place or mid-task, never both, always one
-        for t in range(self.steps + 1):
-            for a in self.agents:
-                terms = [(_mvar(p, t, a.id), 1.0) for p in self.places]
-                terms += [(v, 1.0) for v in midtask.get((a.id, t), [])]
-                constraints.append(LpConstraint(f"occ_{t}_{a.id}", tuple(terms), "=", 1.0))
+        for t in range(steps + 1):
+            for k, a in enumerate(agents):
+                constraints.append(LpConstraint(
+                    f"occ_{t}_{a.id}", (*m_plus[t][k], *midtask[t][k]), "=", 1.0
+                ))
 
         # goal at the final marking
         for (place, color), count in sorted(self.goal.items()):
-            terms = [
-                (_mvar(place, self.steps, a.id), 1.0) for a in self.agents if a.color == color
-            ]
-            constraints.append(
-                LpConstraint(f"goal_{place}_{color}", tuple(terms), ">=", float(count))
-            )
+            j = column[place]
+            terms = tuple(m_plus[steps][k][j] for k, a in enumerate(agents) if a.color == color)
+            constraints.append(LpConstraint(f"goal_{place}_{color}", terms, ">=", float(count)))
 
         objective: list[tuple[str, float]] = []
         sense = "min"
         if self.objective == "min_makespan":
             generals.append("makespan")
-            bounds.append(("makespan", 0.0, float(self.steps)))
+            bounds.append(("makespan", 0.0, float(steps)))
+            makespan = ("makespan", 1.0)
             for (bi, t), var in svars.items():
-                b = self.bindings[bi]
-                constraints.append(
-                    LpConstraint(
-                        f"mk_{var}",
-                        (("makespan", 1.0), (var, -float(t + self.duration(b)))),
-                        ">=",
-                        0.0,
-                    )
-                )
-            objective = [("makespan", 1.0)]
+                constraints.append(LpConstraint(
+                    f"mk_{var}", (makespan, (var, -float(t + durations[bi]))), ">=", 0.0
+                ))
+            objective = [makespan]
         elif self.objective == "max_survival":
             if self.risk is None:
                 raise PlannerError("max_survival objective needs risk semantics")
             sense = "max"
-            for t in range(self.steps):
-                for a in self.agents:
-                    for p in self.places:
-                        w = self.risk.place_log(color_of[a.id], p)
-                        if w != 0.0:
-                            objective.append((_mvar(p, t, a.id), w))
+            # per agent: (column, log survival) of each place that has a risk
+            logs = []
+            for a in agents:
+                ws = [(j, self.risk.place_log(a.color, p)) for j, p in enumerate(places)]
+                logs.append([(j, w) for j, w in ws if w != 0.0])
+            for t in range(steps):
+                for row, ws in zip(m[t], logs):
+                    objective.extend((row[j], w) for j, w in ws)
+            task_logs = [self.risk.transition_log(b.name) for b in self.bindings]
             for (bi, t), var in svars.items():
-                w = self.risk.transition_log(self.bindings[bi].name)
+                w = task_logs[bi]
                 if w != 0.0:
                     objective.append((var, w))
 
         if self.fuel is not None:
-            self._fuel_rows(constraints, bounds, svars, color_of)
+            self._fuel_rows(constraints, bounds, svars, m, durations, moves)
 
         return LpModel(
             sense=sense,
@@ -528,46 +540,52 @@ class ConstraintSystem:
             generals=tuple(generals),
         )
 
-    def _fuel_rows(self, constraints, bounds, svars, color_of) -> None:
-        fuel = self.fuel
-        for a in self.agents:
-            bounds.append((_fvar(a.id, 0), a.fuel_init, a.fuel_init))
-            for t in range(1, self.steps + 1):
-                bounds.append((_fvar(a.id, t), a.fuel_min, a.fuel_max))
+    def _fuel_rows(self, constraints, bounds, svars, m, durations, moves) -> None:
+        fuel, agents, steps = self.fuel, self.agents, self.steps
+        f = self._f_names()
+        for k, a in enumerate(agents):
+            bounds.append((f[0][k], a.fuel_init, a.fuel_init))
+            for t in range(1, steps + 1):
+                bounds.append((f[t][k], a.fuel_min, a.fuel_max))
 
-        starts_by_agent: dict[tuple[str, int], list[tuple[str, float]]] = {}
-        refuel_done: dict[tuple[str, int], list[str]] = {}
+        # per binding: (agent index, cost) of each mover charged at start,
+        # and the agent index of each mover refuelled at completion
+        costs, receivers = [], []
+        for b, bmoves in zip(self.bindings, moves):
+            movers = [(k, agents[k].color) for k, _, _ in bmoves]
+            costs.append([(k, c) for k, c in ((k, fuel.cost(b.name, color)) for k, color in movers) if c])
+            receivers.append([k for k, color in movers if fuel.receives(b.name, color)])
+        starts_by_agent: dict[tuple[int, int], list[tuple[str, float]]] = {}
+        refuel_done: dict[tuple[int, int], list[str]] = {}
         for (bi, t), var in svars.items():
-            b = self.bindings[bi]
-            for agent, _, _ in b.moves:
-                cost = fuel.cost(b.name, color_of[agent])
-                if cost:
-                    starts_by_agent.setdefault((agent, t), []).append((var, cost))
-                if fuel.receives(b.name, color_of[agent]):
-                    refuel_done.setdefault((agent, t + self.duration(b)), []).append(var)
+            for k, cost in costs[bi]:
+                starts_by_agent.setdefault((k, t), []).append((var, cost))
+            for k in receivers[bi]:
+                refuel_done.setdefault((k, t + durations[bi]), []).append(var)
 
-        for a in self.agents:
-            for t in range(self.steps):
+        # per agent: (column, burn rate) of each place it burns fuel waiting at
+        timed = self.level is Level.TIMED
+        burns = [
+            [(j, rate) for j, p in enumerate(self.places) if (rate := fuel.rate(a.color, p)) and timed]
+            for a in agents
+        ]
+        for k, a in enumerate(agents):
+            for t in range(steps):
                 # linear part: f_{t+1} = f_t - waiting burn - task costs
-                terms: list[tuple[str, float]] = [
-                    (_fvar(a.id, t + 1), 1.0),
-                    (_fvar(a.id, t), -1.0),
-                ]
-                for p in self.places:
-                    rate = fuel.rate(a.color, p)
-                    if rate and (self.level is Level.TIMED):
-                        terms.append((_mvar(p, t, a.id), rate))
-                terms += [(v, c) for v, c in starts_by_agent.get((a.id, t), [])]
-                hats = refuel_done.get((a.id, t + 1), [])
+                after = (f[t + 1][k], 1.0)
+                row = m[t][k]
+                terms = [after, (f[t][k], -1.0)]
+                terms += [(row[j], rate) for j, rate in burns[k]]
+                terms += starts_by_agent.get((k, t), ())
+                hats = refuel_done.get((k, t + 1))
                 if not hats:
-                    constraints.append(
-                        LpConstraint(f"fuel_{t}_{a.id}", tuple(terms), "=", 0.0)
-                    )
+                    constraints.append(LpConstraint(f"fuel_{t}_{a.id}", tuple(terms), "=", 0.0))
                 else:
                     # refuel completion overrides the update: big-M on R
-                    up = tuple(terms + [(v, -a.fuel_max) for v in hats])
+                    cut = [(v, -a.fuel_max) for v in hats]
+                    up = tuple(terms + cut)
                     dn = tuple(terms + [(v, a.fuel_max) for v in hats])
-                    at = tuple([(_fvar(a.id, t + 1), 1.0)] + [(v, -a.fuel_max) for v in hats])
+                    at = (after, *cut)
                     constraints.append(LpConstraint(f"fuel_{t}_{a.id}_ub", up, "<=", 0.0))
                     constraints.append(LpConstraint(f"fuel_{t}_{a.id}_lb", dn, ">=", 0.0))
                     constraints.append(LpConstraint(f"fuel_{t}_{a.id}_set", at, ">=", 0.0))

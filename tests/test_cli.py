@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -680,6 +681,13 @@ def command_json(capsys, dialect, path):
         "wiring": (
             "analyze", "soundness", path, "flat_functional", str(DATA / "lsi_requirements.json"),
         ),
+        "catalog": (
+            "synthesize", str(DATA / "sailboat_template.json"), path,
+            str(DATA / "sailboat_synthesis.json"), "--max-nodes", "2",
+        ),
+        "requirements": (
+            "analyze", "soundness", str(DATA / "lsi_wiring.json"), "flat_functional", path,
+        ),
     }[dialect]
     code, out, _ = run(capsys, "--json", *argv)
     return code, json.loads(out)
@@ -739,6 +747,27 @@ class TestPlanAndFailureDialects:
         self, capsys, tmp_path, dialect, edit, message
     ):
         data = json.loads(json.dumps(DOCUMENTS[dialect]))
+        edit(data)
+        path = write_json(tmp_path, "bad.json", data)
+        v_code, v_doc = validate_json(capsys, dialect, path)
+        c_code, c_doc = command_json(capsys, dialect, path)
+        assert (v_code, c_code) == (1, 1)
+        assert v_doc["error"] == c_doc["error"] == message
+
+    # ``json.dumps`` writes these floats as ``NaN``, ``Infinity`` and
+    # ``-Infinity``, which Python's ``json`` reads back but JSON does not have
+    @pytest.mark.parametrize("dialect,edit,message", [
+        ("plan-scenario", lambda d: d["fuel"]["burn_rates"]["uh60"].update(c=math.nan),
+         "scenario.fuel.burn_rates.uh60.c: expected finite number, got nan"),
+        ("plan-scenario", lambda d: d["agents"][0].update(fuel_max=math.inf),
+         "scenario.agents[0].fuel_max: expected finite number, got inf"),
+        ("catalog", lambda d: d["assets"]["cut"].update(cost=math.inf),
+         "catalog.assets.cut.cost: expected finite number, got inf"),
+        ("requirements", lambda d: d["grid"]["temperature"].append(-math.inf),
+         "grid.temperature: expected finite number, got -inf"),
+    ])
+    def test_non_finite_numbers_are_rejected(self, capsys, tmp_path, dialect, edit, message):
+        data = json.loads(json.dumps({**DOCUMENTS, "catalog": CATALOG, "requirements": REQUIREMENTS}[dialect]))
         edit(data)
         path = write_json(tmp_path, "bad.json", data)
         v_code, v_doc = validate_json(capsys, dialect, path)

@@ -124,6 +124,130 @@ class TestWriteParse:
         )
 
 
+# ---------------------------------------------------------------------------
+# the writer: a differential check against the writer as it was before each
+# distinct number was rendered once per call.  ``reference_write_lp`` is that
+# writer; ``write_lp`` must return exactly its text.
+
+
+def _reference_num(x: float) -> str:
+    f = float(x)
+    if f.is_integer() and abs(f) < 1e15:
+        return str(int(f))
+    return repr(f)
+
+
+def _reference_expr(terms) -> str:
+    if not terms:
+        return ""
+    parts: list[str] = []
+    for i, (var, coef) in enumerate(terms):
+        mag = abs(coef)
+        body = var if mag == 1.0 else f"{_reference_num(mag)} {var}"
+        if i == 0:
+            parts.append(f"- {body}" if coef < 0 else body)
+        else:
+            parts.append(f"{'-' if coef < 0 else '+'} {body}")
+    return " ".join(parts)
+
+
+def reference_write_lp(model: LpModel) -> str:
+    """``write_lp`` as it was, formatting every number where it is used."""
+    num = _reference_num
+    lines: list[str] = []
+    lines.append("Minimize" if model.sense == "min" else "Maximize")
+    lines.append(f" {model.objective_name}: {_reference_expr(model.objective)}".rstrip())
+    lines.append("Subject To")
+    for c in model.constraints:
+        lines.append(f" {c.name}: {_reference_expr(c.terms)} {c.sense} {num(c.rhs)}")
+    if model.bounds:
+        lines.append("Bounds")
+        for name, lo, hi in model.bounds:
+            if lo is None and hi is None:
+                lines.append(f" {name} free")
+            elif lo is not None and hi is not None and lo == hi:
+                lines.append(f" {name} = {num(lo)}")
+            elif lo is None:
+                lines.append(f" {name} <= {num(hi)}")
+            elif hi is None:
+                lines.append(f" {name} >= {num(lo)}")
+            else:
+                lines.append(f" {num(lo)} <= {name} <= {num(hi)}")
+    if model.binaries:
+        lines.append("Binary")
+        lines.extend(f" {v}" for v in model.binaries)
+    if model.generals:
+        lines.append("General")
+        lines.extend(f" {v}" for v in model.generals)
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
+# every kind of number the writer treats apart: unit, signed zero, integers
+# below, at and above 1e15, small and fractional floats, and JSON integers
+WRITER_NUMBERS = [
+    1.0, -1.0, 1, -1, 0.0, -0.0, 2.0, -2.5, 3, 0.1, -0.1, 1e-05, -1e-05, 0.5,
+    999999999999999.0, 1e15, -1e15, 1e15 + 2.0, 3e17, 1e22, 123.456, -7.25e-09,
+    0.005012541823544286, 10.0,
+]
+WRITER_NAMES = ["x", "y1", "makespan", "m_a0_u1", "f_u1_3", "s_t10d2_u1.u2", "s_t40d2_u1.u2v1"]
+
+
+def random_lp_model(rng: random.Random) -> LpModel:
+    def number() -> float:
+        return rng.choice(WRITER_NUMBERS) if rng.random() < 0.8 else rng.uniform(-50, 50)
+
+    def terms(lo: int, hi: int):
+        return tuple((rng.choice(WRITER_NAMES), number()) for _ in range(rng.randint(lo, hi)))
+
+    def bound(name: str):
+        lo, hi = number(), number()
+        form = rng.randrange(5)
+        if form == 0:
+            return (name, None, None)
+        if form == 1:
+            return (name, lo, lo)
+        if form == 2:
+            return (name, None, hi)
+        if form == 3:
+            return (name, lo, None)
+        return (name, min(lo, hi), max(lo, hi))
+
+    return LpModel(
+        sense=rng.choice(("min", "max")),
+        objective=terms(0, 5),
+        constraints=tuple(
+            LpConstraint(f"r{i}", terms(0, 6), rng.choice(("<=", ">=", "=")), number())
+            for i in range(rng.randint(0, 6))
+        ),
+        bounds=tuple(bound(n) for n in rng.sample(WRITER_NAMES, rng.randint(0, 5))),
+        binaries=tuple(rng.sample(WRITER_NAMES, rng.randint(0, 3))),
+        generals=tuple(rng.sample(WRITER_NAMES, rng.randint(0, 2))),
+        objective_name=rng.choice(("obj", "cost")),
+    )
+
+
+class TestWriterAgainstReference:
+    def test_seeded_models_write_identically_and_parse_back(self):
+        rng = random.Random(2718)
+        for _ in range(600):
+            model = random_lp_model(rng)
+            text = write_lp(model)
+            assert text == reference_write_lp(model)
+            assert parse_lp(text) == model
+
+    @pytest.mark.parametrize("coef", [-1.0, -0.0, -2.5, 1e15, -1e15, 1e-05])
+    def test_first_term_and_special_numbers(self, coef):
+        model = LpModel(
+            "min",
+            (("x", coef), ("y", coef)),
+            (LpConstraint("r", (("x", coef), ("y", 1.0), ("z", -1.0)), "<=", coef),),
+            (("x", coef, coef), ("y", coef, None), ("z", None, coef), ("w", coef - 1, coef)),
+            ("x",),
+        )
+        assert write_lp(model) == reference_write_lp(model)
+
+
 class TestPlannerExport:
     def test_variable_inventory_single_agent_one_step(self):
         # one agent, one plan step: (1 + 1) markings x 4 places = 8 m-variables

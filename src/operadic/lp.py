@@ -5,7 +5,10 @@ Maximize, one named objective row, Subject To, Bounds (including fixed and
 free variables), Binary, General, End.  ``write_lp`` is deterministic, and
 ``parse_lp(write_lp(m))`` reproduces the model exactly, so a second write is
 byte-identical; numbers are rendered as integers when possible and via
-``repr`` otherwise, which floats survive round-trip.
+``repr`` otherwise, which floats survive round-trip.  The writer renders each
+distinct number once per call, and a coefficient of exactly +-1 formats no
+number; its text is the same as formatting every number where it is used.
+Numbers must be finite: ``parse_lp`` reads no ``inf`` or ``nan``.
 """
 
 from __future__ import annotations

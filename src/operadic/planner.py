@@ -201,12 +201,6 @@ def _duration(level: Level, b: TaskBinding) -> int:
     return b.duration if level is Level.TIMED else 1
 
 
-def _terms(names: Sequence[str], coef: float) -> list[tuple[str, float]]:
-    """One ``(name, coef)`` term per name, made once and shared by every row
-    that uses it."""
-    return [(n, coef) for n in names]
-
-
 # ---------------------------------------------------------------------------
 # binding enumeration
 
@@ -436,10 +430,9 @@ class ConstraintSystem:
             for b in self.bindings
         ]
         m = self._m_names()
-        m_plus = [[_terms(row, 1.0) for row in tick] for tick in m]
-        m_minus = [[_terms(row, -1.0) for row in tick] for tick in m]
-        s_plus = dict(zip(svars.values(), _terms(svars.values(), 1.0)))
-        s_minus = dict(zip(svars.values(), _terms(svars.values(), -1.0)))
+        # each (name, +-1.0) term is made once and shared by every row using it
+        m_plus = [[[(n, 1.0) for n in row] for row in tick] for tick in m]
+        m_minus = [[[(n, -1.0) for n in row] for row in tick] for tick in m]
         constraints: list[LpConstraint] = []
         bounds: list[tuple[str, float | None, float | None]] = []
         generals: list[str] = []
@@ -459,7 +452,7 @@ class ConstraintSystem:
         midtask = [[[] for _ in agents] for _ in range(steps + 1)]
         for (bi, t), var in svars.items():
             d = durations[bi]
-            plus, minus = s_plus[var], s_minus[var]
+            plus, minus = (var, 1.0), (var, -1.0)
             for k, src, dst in moves[bi]:
                 departures[t][k][src].append(plus)
                 arrivals[t + d][k][dst].append(minus)
@@ -552,9 +545,16 @@ class ConstraintSystem:
         # and the agent index of each mover refuelled at completion
         costs, receivers = [], []
         for b, bmoves in zip(self.bindings, moves):
-            movers = [(k, agents[k].color) for k, _, _ in bmoves]
-            costs.append([(k, c) for k, c in ((k, fuel.cost(b.name, color)) for k, color in movers) if c])
-            receivers.append([k for k, color in movers if fuel.receives(b.name, color)])
+            charged, refuelled = [], []
+            for k, _, _ in bmoves:
+                color = agents[k].color
+                cost = fuel.cost(b.name, color)
+                if cost:
+                    charged.append((k, cost))
+                if fuel.receives(b.name, color):
+                    refuelled.append(k)
+            costs.append(charged)
+            receivers.append(refuelled)
         starts_by_agent: dict[tuple[int, int], list[tuple[str, float]]] = {}
         refuel_done: dict[tuple[int, int], list[str]] = {}
         for (bi, t), var in svars.items():
@@ -563,12 +563,15 @@ class ConstraintSystem:
             for k in receivers[bi]:
                 refuel_done.setdefault((k, t + durations[bi]), []).append(var)
 
-        # per agent: (column, burn rate) of each place it burns fuel waiting at
-        timed = self.level is Level.TIMED
-        burns = [
-            [(j, rate) for j, p in enumerate(self.places) if (rate := fuel.rate(a.color, p)) and timed]
-            for a in agents
-        ]
+        # per agent: (column, burn rate) of each place it burns fuel waiting
+        # at; the plan level erases waiting, so nothing burns there
+        burns: list[list[tuple[int, float]]] = [[] for _ in agents]
+        if self.level is Level.TIMED:
+            for k, a in enumerate(agents):
+                for j, p in enumerate(self.places):
+                    rate = fuel.rate(a.color, p)
+                    if rate:
+                        burns[k].append((j, rate))
         for k, a in enumerate(agents):
             for t in range(steps):
                 # linear part: f_{t+1} = f_t - waiting burn - task costs

@@ -6,9 +6,9 @@ malformed input ends in that error (exit 1 with an envelope at the command
 line), never in a raw ``KeyError``, ``ValueError`` or ``TypeError``.  A
 boolean is neither a number nor an integer, and an integer kind rejects
 ``2.5``, ``2.0`` and ``"2"``; only the boolean kind reads ``true`` and
-``false``.  A number must be finite: Python's ``json`` reads ``NaN``,
-``Infinity`` and ``-Infinity`` (and ``1e400`` as infinity), but JSON has no
-such values.
+``false``.  A number must be finite and fit a float: Python's ``json``
+reads ``NaN``, ``Infinity`` and ``-Infinity`` (and ``1e400`` as infinity),
+but JSON has no such values, and every number is used as a float.
 """
 
 from __future__ import annotations
@@ -52,8 +52,15 @@ class Reader:
     def typed(self, where: str, value, kind: str):
         """Return ``value`` if it has the JSON ``kind``."""
         if isinstance(value, _JSON_KINDS[kind]) and (kind == "boolean") == isinstance(value, bool):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise self.error(f"{where}: expected finite number, got {value!r}")
+            if kind == "number":
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # an integer beyond the range of a float
+                    raise self.error(
+                        f"{where}: expected finite number, got an integer too large for a float"
+                    ) from None
+                if not finite:
+                    raise self.error(f"{where}: expected finite number, got {value!r}")
             return value
         raise self.error(f"{where}: expected {kind}, got {type(value).__name__}")
 

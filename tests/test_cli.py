@@ -761,6 +761,8 @@ class TestPlanAndFailureDialects:
          "scenario.fuel.burn_rates.uh60.c: expected finite number, got nan"),
         ("plan-scenario", lambda d: d["agents"][0].update(fuel_max=math.inf),
          "scenario.agents[0].fuel_max: expected finite number, got inf"),
+        ("plan-scenario", lambda d: d["agents"][1].update(fuel_min=-(10 ** 400)),
+         "scenario.agents[1].fuel_min: expected finite number, got an integer too large for a float"),
         ("catalog", lambda d: d["assets"]["cut"].update(cost=math.inf),
          "catalog.assets.cut.cost: expected finite number, got inf"),
         ("requirements", lambda d: d["grid"]["temperature"].append(-math.inf),

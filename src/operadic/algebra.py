@@ -27,12 +27,12 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
 from .core import NetOperation, NetType, compose
-from .dialect import Reader
+from .dialect import InputError, Reader
 
 PROB_TOL = 1e-9
 
 
-class AlgebraError(ValueError):
+class AlgebraError(InputError):
     pass
 
 

@@ -47,70 +47,51 @@ The value of the last assignment is the script's result.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
+import functools
 import json
 import sys
 import time
-import traceback
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .algebra import (
-    AlgebraError,
-    composite_distribution,
-    parse_catalog,
-    parse_failure_bundle,
-    parse_scenario,
-)
-from .core import (
-    NetOperation,
-    NetType,
-    OperadError,
-    canonical_form,
-    compose as compose_ops,
-    identity,
-    overlay,
-    parallel,
-    permute,
-)
-from .lp import LpError
-from .planner import (
-    DEFAULT_NODE_CAP,
-    Infeasible,
-    PlannerError,
-    Solution,
-    Undecided,
-    compile_scenario,
-    export_lp,
-    Level,
-    parse_plan_scenario,
-    solve,
-)
-from .synthesis import METHODS, SynthesisError, parse_synthesis_task, search
-from .template import (
-    TemplateError,
-    induced_operad,
-    parse_network_template,
-    parse_tasking_template,
-)
-from .wiring import (
-    WiringError,
-    diagrams_equal,
-    parse_requirements_bundle,
-    parse_wiring_bundle,
-    soundness_check,
-)
+from .dialect import InputError
+from .options import DEFAULT_NODE_CAP, METHODS, Level
 
-INPUT_ERRORS = (
-    AlgebraError,
-    LpError,
-    OperadError,
-    PlannerError,
-    SynthesisError,
-    TemplateError,
-    WiringError,
-)
+if TYPE_CHECKING:
+    from .core import NetOperation
+
+
+def _lazy(module: str, name: str):
+    """A stand-in for ``operadic.<module>.<name>`` that imports the module at
+    its first call, so a command loads only the layers it uses.
+
+    Each stand-in is a real attribute of this module and the handlers call
+    it through the module's globals, so a wrapper set here from outside (as
+    perfbench's tracer does) sees every call.
+    """
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f"operadic.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+parse_catalog = _lazy("algebra", "parse_catalog")
+parse_failure_bundle = _lazy("algebra", "parse_failure_bundle")
+parse_scenario = _lazy("algebra", "parse_scenario")
+compile_scenario = _lazy("planner", "compile_scenario")
+parse_plan_scenario = _lazy("planner", "parse_plan_scenario")
+solve = _lazy("planner", "solve")
+parse_synthesis_task = _lazy("synthesis", "parse_synthesis_task")
+search = _lazy("synthesis", "search")
+parse_network_template = _lazy("template", "parse_network_template")
+parse_tasking_template = _lazy("template", "parse_tasking_template")
+parse_requirements_bundle = _lazy("wiring", "parse_requirements_bundle")
+parse_wiring_bundle = _lazy("wiring", "parse_wiring_bundle")
+soundness_check = _lazy("wiring", "soundness_check")
 
 
 class UsageError(Exception):
@@ -122,6 +103,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _sha256(data: bytes) -> str:
+    # hashlib loads OpenSSL, so it comes in at first use, not with this module
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
 def _read_text(inputs: dict[str, str], path: str) -> str:
     if path == "-":
         text = sys.stdin.read()
@@ -130,7 +118,7 @@ def _read_text(inputs: dict[str, str], path: str) -> str:
             text = Path(path).read_text()
         except OSError as exc:
             raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    inputs[path] = hashlib.sha256(text.encode()).hexdigest()
+    inputs[path] = _sha256(text.encode())
     return text
 
 
@@ -221,6 +209,8 @@ def run_compose_script(text: str, template) -> tuple[str, NetOperation]:
     A script with no assignments is the identity on the declared type (the
     empty word when no ``type`` line appears).
     """
+    from .core import NetOperation, NetType, compose, identity, overlay, parallel, permute
+
     sig = template.signature
     env: dict[str, NetOperation] = {}
     current = None
@@ -277,9 +267,7 @@ def run_compose_script(text: str, template) -> tuple[str, NetOperation]:
         elif op == "compose":
             if len(rest) < 2:
                 raise UsageError(f"line {lineno}: compose NAME NAME...")
-            value = compose_ops(
-                lookup(rest[0], lineno), [lookup(n, lineno) for n in rest[1:]]
-            )
+            value = compose(lookup(rest[0], lineno), [lookup(n, lineno) for n in rest[1:]])
         else:
             raise UsageError(f"line {lineno}: unknown operation {op!r}")
         env[name] = value
@@ -290,13 +278,16 @@ def run_compose_script(text: str, template) -> tuple[str, NetOperation]:
 
 
 def _cmd_compose(args, inputs) -> tuple[dict, list[str], int]:
+    from .core import canonical_form
+    from .template import induced_operad
+
     template = parse_network_template(_read_json(inputs, args.template))
     text = _read_text(inputs, args.script)
     name, op = run_compose_script(text, template)
     if args.check:
         induced_operad(template).validate(op)
     op = canonical_form(op)
-    digest = hashlib.sha256(op.canonical_bytes()).hexdigest()
+    digest = _sha256(op.canonical_bytes())
     report = {
         "name": name,
         "operation": op.to_dict(),
@@ -315,6 +306,8 @@ def _cmd_compose(args, inputs) -> tuple[dict, list[str], int]:
 
 
 def _cmd_analyze_failure(args, inputs) -> tuple[dict, list[str], int]:
+    from .algebra import composite_distribution
+
     model, tree = parse_failure_bundle(_read_json(inputs, args.bundle))
     dist = composite_distribution(model, tree)
     report = {"distribution": dist.as_dict()}
@@ -323,6 +316,8 @@ def _cmd_analyze_failure(args, inputs) -> tuple[dict, list[str], int]:
 
 
 def _cmd_analyze_equal(args, inputs) -> tuple[dict, list[str], int]:
+    from .wiring import diagrams_equal
+
     ops = parse_wiring_bundle(_read_json(inputs, args.bundle))
     for name in (args.left, args.right):
         if name not in ops:
@@ -355,11 +350,9 @@ def _cmd_analyze_soundness(args, inputs) -> tuple[dict, list[str], int]:
 # plan
 
 
-def _solution_report(sol: Solution) -> dict:
-    return {"status": "solved", **sol.to_dict()}
-
-
 def _cmd_plan(args, inputs) -> tuple[dict, list[str], int]:
+    from .planner import Infeasible, Solution, Undecided, export_lp
+
     template = parse_tasking_template(_read_json(inputs, args.template))
     scenario = parse_plan_scenario(_read_json(inputs, args.scenario))
     cs = compile_scenario(template, scenario, Level(args.level))
@@ -370,12 +363,12 @@ def _cmd_plan(args, inputs) -> tuple[dict, list[str], int]:
         Path(args.export_lp).write_text(lp_text)
         report["status"] = "exported"
         report["lp_file"] = args.export_lp
-        report["lp_sha256"] = hashlib.sha256(lp_text.encode()).hexdigest()
+        report["lp_sha256"] = _sha256(lp_text.encode())
         human.append(f"wrote {len(lp_text.splitlines())} LP lines to {args.export_lp}")
         return report, human, 0
     outcome = solve(cs, node_cap=args.node_cap)
     if isinstance(outcome, Solution):
-        report.update(_solution_report(outcome))
+        report.update({"status": "solved", **outcome.to_dict()})
         timeline = {
             a.id: [row.place_of(a.id) for row in outcome.markings]
             for a in outcome.agents
@@ -412,6 +405,8 @@ def _cmd_plan(args, inputs) -> tuple[dict, list[str], int]:
 
 
 def _cmd_synthesize(args, inputs) -> tuple[dict, list[str], int]:
+    from dataclasses import replace
+
     template = parse_network_template(_read_json(inputs, args.template))
     catalog = parse_catalog(_read_json(inputs, args.catalog))
     data = _read_json(inputs, args.task)
@@ -422,11 +417,11 @@ def _cmd_synthesize(args, inputs) -> tuple[dict, list[str], int]:
     task = parse_synthesis_task(data)
     config = task.config
     if args.budget is not None:
-        config = dataclasses.replace(config, budget=args.budget)
+        config = replace(config, budget=args.budget)
     if args.max_nodes is not None:
-        config = dataclasses.replace(config, max_nodes=args.max_nodes)
+        config = replace(config, max_nodes=args.max_nodes)
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        config = replace(config, seed=args.seed)
     method = args.method or task.method
     result = search(template, catalog, task.scenario, config, method, task.carry_interaction)
     if args.audit is not None:
@@ -446,7 +441,11 @@ def _cmd_synthesize(args, inputs) -> tuple[dict, list[str], int]:
 # wiring (parser setup and dispatch)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command's parser, built once per process: parsing leaves it
+    unchanged.  Each command names its handler, which ``main`` looks up in
+    this module's globals at every call."""
     parser = _Parser(prog="operadic", description=__doc__.split("\n\n")[0])
     parser.add_argument("--json", action="store_true", help="machine-readable report on stdout")
     parser.add_argument("--seed", type=int, default=None, help="override any seeded search")
@@ -456,29 +455,29 @@ def build_parser() -> _Parser:
     p = sub.add_parser("validate", help="parse and check an input file")
     p.add_argument("kind", choices=sorted(VALIDATORS))
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_validate)
+    p.set_defaults(handler="_cmd_validate")
 
     p = sub.add_parser("compose", help="evaluate a composition script")
     p.add_argument("script", help="script path, or - for stdin")
     p.add_argument("--template", required=True, help="network template JSON")
     p.add_argument("--check", action="store_true", help="validate the result against the template rules")
-    p.set_defaults(handler=_cmd_compose)
+    p.set_defaults(handler="_cmd_compose")
 
     p = sub.add_parser("analyze", help="failure, equality, and soundness analyses")
     asub = p.add_subparsers(dest="analysis", required=True)
     q = asub.add_parser("failure", help="composite failure distribution")
     q.add_argument("bundle")
-    q.set_defaults(handler=_cmd_analyze_failure)
+    q.set_defaults(handler="_cmd_analyze_failure")
     q = asub.add_parser("equal", help="compare two wiring diagrams")
     q.add_argument("bundle")
     q.add_argument("left")
     q.add_argument("right")
-    q.set_defaults(handler=_cmd_analyze_equal)
+    q.set_defaults(handler="_cmd_analyze_equal")
     q = asub.add_parser("soundness", help="component vs outer requirements")
     q.add_argument("wiring")
     q.add_argument("op")
     q.add_argument("requirements")
-    q.set_defaults(handler=_cmd_analyze_soundness)
+    q.set_defaults(handler="_cmd_analyze_soundness")
 
     p = sub.add_parser("plan", help="compile and solve a tasking scenario")
     p.add_argument("template")
@@ -489,7 +488,7 @@ def build_parser() -> _Parser:
     p.add_argument("--export-lp", default=None, metavar="FILE",
                    help="write the LP rendering here instead of solving")
     p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
-    p.set_defaults(handler=_cmd_plan)
+    p.set_defaults(handler="_cmd_plan")
 
     p = sub.add_parser("synthesize", help="search for a fleet design")
     p.add_argument("template")
@@ -499,7 +498,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-nodes", type=int, default=None, help="override the node cap")
     p.add_argument("--method", choices=METHODS, default=None)
     p.add_argument("--audit", default=None, help="write the JSON-lines audit log here")
-    p.set_defaults(handler=_cmd_synthesize)
+    p.set_defaults(handler="_cmd_synthesize")
     return parser
 
 
@@ -528,18 +527,20 @@ def main(argv=None) -> int:
         "seed": args.seed,
     }
     try:
-        report, human, code = args.handler(args, inputs)
+        report, human, code = globals()[args.handler](args, inputs)
     except UsageError as exc:
         envelope.update(ok=False, inputs=inputs, error=str(exc))
         print(f"operadic: error: {exc}", file=sys.stderr)
         _emit(args, envelope, [], started)
         return 1
-    except INPUT_ERRORS as exc:
+    except InputError as exc:
         envelope.update(ok=False, inputs=inputs, error=str(exc))
         print(f"operadic: invalid input: {exc}", file=sys.stderr)
         _emit(args, envelope, [], started)
         return 1
     except Exception as exc:  # a fault in operadic itself: still one envelope, exit 1
+        import traceback
+
         error = f"internal error: {type(exc).__name__}: {exc}"
         envelope.update(ok=False, inputs=inputs, error=error)
         traceback.print_exc(file=sys.stderr)

@@ -24,10 +24,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .dialect import InputError
 from .monoid import MonoidKind
 
 
-class OperadError(ValueError):
+class OperadError(InputError):
     """Base class for malformed operations or illegal combinations."""
 
 

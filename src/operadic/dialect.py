@@ -1,9 +1,10 @@
 """One typed reader for the JSON input dialects.
 
 Every dialect parser reads its document header, keys and JSON value kinds
-through a ``Reader`` bound to the dialect's own exception type, so a
-malformed input ends in that error (exit 1 with an envelope at the command
-line), never in a raw ``KeyError``, ``ValueError`` or ``TypeError``.  A
+through a ``Reader`` bound to the dialect's own exception type, a subclass
+of ``InputError``, so a malformed input ends in that error (exit 1 with an
+envelope at the command line), never in a raw ``KeyError``, ``ValueError``
+or ``TypeError``.  A
 boolean is neither a number nor an integer, and an integer kind rejects
 ``2.5``, ``2.0`` and ``"2"``; only the boolean kind reads ``true`` and
 ``false``.  A number must be finite and fit a float: Python's ``json``
@@ -25,6 +26,11 @@ _JSON_KINDS = {
     "integer": int,
     "boolean": bool,
 }
+
+
+class InputError(ValueError):
+    """A malformed input; every layer's input error derives from it, and the
+    command line answers it with an exit-1 envelope."""
 
 
 class Reader:

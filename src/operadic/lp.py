@@ -17,8 +17,10 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .dialect import InputError
 
-class LpError(ValueError):
+
+class LpError(InputError):
     pass
 
 

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import enum
 
+from .dialect import InputError
 
-class MonoidError(ValueError):
+
+class MonoidError(InputError):
     """An edge value outside the monoid's carrier."""
 
 

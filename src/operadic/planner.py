@@ -37,34 +37,27 @@ factor; the solver maximizes total log survival.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .dialect import Reader
+from .dialect import InputError, Reader
 from .lp import LpConstraint, LpModel
+from .options import DEFAULT_NODE_CAP, Level
 from .template import TaskingTemplate, Transition, parse_tasking_template
 
 if TYPE_CHECKING:  # numpy is imported by the matrix accessors alone
     import numpy as np
 
-DEFAULT_NODE_CAP = 2_000_000
 OBJECTIVES = ("feasible", "min_makespan", "max_survival")
 
 
-class PlannerError(ValueError):
+class PlannerError(InputError):
     pass
 
 
 _read = Reader(PlannerError)
-
-
-class Level(enum.Enum):
-    TIMED = "timed"
-    PLAN = "plan"
-    COUNTS = "counts"
 
 
 @dataclass(frozen=True)
@@ -925,6 +918,8 @@ class _Search:
         chosen: list[int] = []
 
         def branch(options: list[int]):
+            if self.capped:  # the result is settled: build no more children
+                return
             # fire the chosen subset, advance one tick, recurse
             self._apply_and_recurse(t, positions, busy, fuel, schedule, markings,
                                     fuel_trace, risk_log, list(chosen))

@@ -48,7 +48,8 @@ from .algebra import (
     parse_scenario,
 )
 from .core import NetOperation, NetType
-from .dialect import Reader
+from .dialect import InputError, Reader
+from .options import METHODS
 from .template import NetworkTemplate
 
 COST_EPS = 1e-6
@@ -57,14 +58,11 @@ COST_EPS = 1e-6
 Tree = tuple
 
 
-class SynthesisError(ValueError):
+class SynthesisError(InputError):
     pass
 
 
 _read = Reader(SynthesisError)
-
-METHODS = ("exhaustive", "anneal", "genetic")
-
 
 def tree_serial(tree: Tree) -> str:
     kind, children = tree

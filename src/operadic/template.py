@@ -55,11 +55,11 @@ from .core import (
     Signature,
     identity,
 )
-from .dialect import Reader
+from .dialect import InputError, Reader
 from .monoid import MonoidKind
 
 
-class TemplateError(ValueError):
+class TemplateError(InputError):
     """Malformed template data or an edge the template does not allow."""
 
 

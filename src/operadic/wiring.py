@@ -34,12 +34,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .dialect import Reader
+from .dialect import InputError, Reader
 
 PortRef = tuple[str, str]  # (boundary name, port name)
 
 
-class WiringError(ValueError):
+class WiringError(InputError):
     pass
 
 

@@ -1,5 +1,5 @@
 """Golden envelopes for ``operadic --json analyze soundness`` and
-``operadic --json plan --export-lp``.
+``operadic --json plan --export-lp``, and golden ``--help`` texts.
 
 Each case runs the command in process, in a temporary directory that holds
 its inputs under fixed relative names, so the envelope's ``inputs`` keys do
@@ -7,6 +7,7 @@ not depend on where the checkout lives.  ``timing_s`` is the one field that
 changes between reruns; it is dropped before the envelope is stored.  A case
 whose envelope runs to megabytes stores only its SHA-256 and a few counts.
 An export's envelope already carries the SHA-256 of the LP file it wrote.
+A help text is stored as printed for an 80-column terminal.
 
 Usage, from the root of the repository::
 
@@ -33,6 +34,7 @@ import sys
 import tempfile
 from pathlib import Path
 from typing import Callable
+from unittest import mock
 
 HERE = Path(__file__).parent
 DATA = HERE.parent / "data"
@@ -177,6 +179,16 @@ def export(scenario: dict, level: str) -> str:
                             "--level", level, "--export-lp", "model.lp"])
 
 
+def help_text(argv: list[str]) -> str:
+    """``operadic ARGV --help`` as printed for an 80-column terminal."""
+    from operadic.cli import main
+
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out):
+        main([*argv, "--help"])
+    return out.getvalue()
+
+
 def digest(text: str) -> str:
     """The SHA-256 of a soundness envelope, with its verdict and counts."""
     report = json.loads(text)["report"]
@@ -199,6 +211,9 @@ CASES: dict[str, Callable[[], str]] = {
     "export_refuel_timed.json": lambda: export(_refuel(), "timed"),
     "export_survival_timed.json": lambda: export(_survival(), "timed"),
     "export_seeded_fleet_timed.json": lambda: export(_seeded_fleet(), "timed"),
+    "help_operadic.txt": lambda: help_text([]),
+    "help_plan.txt": lambda: help_text(["plan"]),
+    "help_synthesize.txt": lambda: help_text(["synthesize"]),
 }
 
 

@@ -1,6 +1,8 @@
 """End-to-end command line tests: exit codes, stdout discipline, reports."""
 
+import argparse
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -155,6 +157,21 @@ class TestCompose:
         )
         assert code == 1
         assert "unknown name" in err
+
+    @pytest.mark.parametrize("value", ["2", "-1"])
+    def test_edge_value_outside_the_monoid_is_an_input_error(self, capsys, tmp_path, value):
+        script = tmp_path / "bad.ops"
+        script.write_text(f"type helo qd qd\nx = edge carrying 1 0 {value}\n")
+        code, out, err = run(
+            capsys, "--json", "compose", str(script),
+            "--template", str(DATA / "sailboat_template.json"),
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert doc["error"].startswith("boolean_or: value must be 0 or 1")
+        assert "invalid input:" in err
+        assert "Traceback" not in err
 
     def test_empty_script_is_the_identity(self, capsys, tmp_path):
         script = tmp_path / "empty.ops"
@@ -580,27 +597,37 @@ class TestSynthesisDialects:
             assert v_code <= s_code
 
 
-# Runs in a fresh interpreter: the commands must leave numpy unloaded, and
-# the matrix accessors must still load it and return numpy arrays.
+# Runs in a fresh interpreter: importing the command line loads no layer,
+# each command loads only its own layers, no command loads numpy, and the
+# matrix accessors must still load it and return numpy arrays.  Commands run
+# in order of increasing footprint, with the loaded layers noted after each.
 IMPORT_PATH_SCRIPT = """
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
+
+def layers():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("operadic."))
+
 import operadic.cli as cli
+loaded = {"import": layers()}
 
 data, lp = sys.argv[1], sys.argv[2]
 commands = [
-    ["plan", f"{data}/rescue_tasking.json", f"{data}/rescue_scenario.json"],
-    ["plan", f"{data}/rescue_tasking.json", f"{data}/rescue_scenario.json", "--export-lp", lp],
-    ["synthesize", f"{data}/sailboat_template.json", f"{data}/sailboat_catalog.json",
-     f"{data}/sailboat_synthesis.json", "--max-nodes", "2"],
-    ["analyze", "soundness", f"{data}/lsi_wiring.json", "flat_functional",
-     f"{data}/lsi_requirements.json"],
-    ["validate", "plan-scenario", f"{data}/rescue_scenario.json"],
+    ("soundness", ["analyze", "soundness", f"{data}/lsi_wiring.json", "flat_functional",
+                   f"{data}/lsi_requirements.json"]),
+    ("plan", ["plan", f"{data}/rescue_tasking.json", f"{data}/rescue_scenario.json"]),
+    ("export", ["plan", f"{data}/rescue_tasking.json", f"{data}/rescue_scenario.json",
+                "--export-lp", lp]),
+    ("synthesize", ["synthesize", f"{data}/sailboat_template.json",
+                    f"{data}/sailboat_catalog.json", f"{data}/sailboat_synthesis.json",
+                    "--max-nodes", "2"]),
+    ("validate", ["validate", "plan-scenario", f"{data}/rescue_scenario.json"]),
 ]
 codes = []
-for argv in commands:
+for step, argv in commands:
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         codes.append(cli.main(["--json", *argv]))
+    loaded[step] = layers()
 loaded_by_commands = "numpy" in sys.modules
 
 from operadic.planner import compile_scenario, parse_plan_scenario
@@ -613,29 +640,135 @@ import numpy as np
 
 print(json.dumps({
     "codes": codes,
+    "loaded": loaded,
     "loaded_by_commands": loaded_by_commands,
     "matrix_is_ndarray": isinstance(matrix, np.ndarray),
     "matrix_shape": list(matrix.shape),
 }))
 """
 
+# Every name the package exported eagerly before it became lazy.
+EXPORTS = """
+AssetSpec FleetDesign KpiReport SearchScenario composite_distribution kpi_evaluate
+load_catalog parse_catalog parse_failure_bundle parse_scenario EdgeKey Interaction
+NetOperation NetType OperadError Signature canonical_form compose identity overlay
+parallel permute slot_permute LpConstraint LpModel parse_lp write_lp MonoidKind Agent
+ConstraintSystem CountsSolution FuelSpec Infeasible Level LiftResult PlanScenario
+RiskSpec Solution TaskBinding Undecided compile_scenario enumerate_bindings export_lp
+lift parse_plan_scenario project solve solve_all CandidateDesign DesignEvaluator
+SearchConfig SearchResult enumerate_designs parse_synthesis_task search NetworkTemplate
+TaskingTemplate generators induced_operad load_network_template load_tasking_template
+merge_templates parse_network_template parse_tasking_template WiringOp diagrams_equal
+joint_validity load_requirements_bundle load_wiring_bundle nest parse_requirements_bundle
+parse_wiring_bundle soundness_check
+""".split()
+
+
+@pytest.fixture(scope="module")
+def import_path(tmp_path_factory):
+    lp = tmp_path_factory.mktemp("import_path") / "rescue.lp"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(DATA), str(lp)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert lp.exists()
+    return json.loads(proc.stdout)
+
 
 class TestImportPath:
-    """No command loads numpy; only the planner's matrix accessors do."""
+    """A command loads only its own layers; no command loads numpy, only the
+    planner's matrix accessors do.  The package loads its names lazily."""
 
-    def test_commands_leave_numpy_unloaded(self, tmp_path):
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        proc = subprocess.run(
-            [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(DATA), str(tmp_path / "rescue.lp")],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout)
+    def test_commands_leave_numpy_unloaded(self, import_path):
+        result = import_path
         assert result["codes"] == [0, 0, 0, 0, 0]
         assert result["loaded_by_commands"] is False
         assert result["matrix_is_ndarray"] is True
         assert result["matrix_shape"][0] > 0
-        assert (tmp_path / "rescue.lp").exists()
+
+    def test_each_command_loads_only_its_layers(self, import_path):
+        loaded = {step: set(layers) for step, layers in import_path["loaded"].items()}
+        assert not loaded["import"] & {
+            "planner", "synthesis", "wiring", "algebra", "template", "core", "lp",
+        }
+        assert "wiring" in loaded["soundness"]
+        assert not loaded["soundness"] & {"planner", "synthesis", "lp"}
+        assert "planner" in loaded["plan"]
+        assert "synthesis" not in loaded["plan"]
+
+    def test_package_exports_every_name(self):
+        import operadic
+
+        assert len(EXPORTS) == len(set(EXPORTS)) == 73
+        for name in EXPORTS:
+            namespace = {}
+            exec(f"from operadic import {name}", namespace)
+            assert namespace[name] is getattr(operadic, name)
+        assert set(EXPORTS) <= set(dir(operadic))
+        assert sorted(operadic.__all__) == sorted(EXPORTS)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            operadic.no_such_name
+
+
+def _load_worker():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_worker", Path(__file__).parents[1] / "perfbench" / "worker.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracing:
+    """perfbench's tracer wraps the layer entry points where the command line
+    looks them up; a renamed or hidden entry point breaks here first."""
+
+    @pytest.mark.parametrize("argv,layer", [
+        (["analyze", "soundness", str(DATA / "lsi_wiring.json"), "flat_functional",
+          str(DATA / "lsi_requirements.json")], "wiring.soundness_check"),
+        (["plan", str(DATA / "rescue_tasking.json"), str(DATA / "rescue_scenario.json")],
+         "planner.solve"),
+    ])
+    def test_traced_command_counts_its_layer(self, capsys, argv, layer):
+        worker = _load_worker()
+        tracer = worker.Tracer()
+        try:
+            worker.install(tracer)
+            code = cli.main(["--json", *argv])
+        finally:
+            layers = tracer.restore()
+        capsys.readouterr()
+        assert code == 0
+        assert layers["calls"][layer] == 1
+        assert layers["calls"]["cli"] == 1
+        assert cli.main is main  # the wrappers are gone again
+
+
+def _option(parser, *path_and_dest):
+    """The argparse action for ``dest`` under the subcommands ``path``."""
+    *path, dest = path_and_dest
+    for command in path:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[command]
+    return next(a for a in parser._actions if a.dest == dest)
+
+
+class TestParser:
+    """The parser lists the choices and defaults the layers own."""
+
+    def test_choices_and_defaults_come_from_the_layers(self):
+        from operadic import planner, synthesis
+        from operadic.options import Level
+
+        parser = cli.build_parser()
+        level = _option(parser, "plan", "level")
+        assert level.choices == [Level.TIMED.value, Level.PLAN.value]
+        assert level.default == Level.TIMED.value
+        assert planner.Level is Level
+        assert _option(parser, "plan", "node_cap").default == planner.DEFAULT_NODE_CAP
+        assert _option(parser, "synthesize", "method").choices == synthesis.METHODS
 
 
 FAILURE = json.loads((DATA / "lsi_failure_control.json").read_text())

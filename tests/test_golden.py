@@ -1,4 +1,5 @@
-"""The command's output against the stored golden envelopes in ``tests/golden``.
+"""The command's output against the golden envelopes and help texts stored
+in ``tests/golden``.
 
 Rewriting a golden file is a deliberate step: run ``tests/golden/regen.py``
 with the names of the cases to rewrite (``--check`` only prints the diffs),

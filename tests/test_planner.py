@@ -23,6 +23,7 @@ from operadic.planner import (
     TaskVector,
     TypeVector,
     Undecided,
+    _Search,
     add_fuel_semantics,
     add_risk_semantics,
     compile_scenario,
@@ -937,3 +938,27 @@ def test_memo_decides_a_search_the_plain_dfs_leaves_undecided(rescue):
         "goal uh60@d >= 3 unmet (have 2)",
     )
     assert result.deepest_step == 8
+
+
+def test_node_cap_stops_child_builds(rescue, monkeypatch):
+    # A no-fuel rescue fleet far too large to decide under a small cap:
+    # once the cap fires, no open frame may build another child.
+    rng = random.Random(14)
+    fleet = tuple(Agent(f"u{i:02d}", "uh60", rng.choice("ab")) for i in range(10))
+    fleet += (Agent("h1", "hc130", "c"),)
+    cs = compile_timed(rescue, fleet, 14, {("d", "uh60"): 5}, "min_makespan")
+    builds = 0
+    apply_and_recurse = _Search._apply_and_recurse
+
+    def counted(self, *args):
+        nonlocal builds
+        builds += 1
+        return apply_and_recurse(self, *args)
+
+    monkeypatch.setattr(_Search, "_apply_and_recurse", counted)
+    for cap in (10, 200):
+        builds = 0
+        result = solve(cs, node_cap=cap)
+        assert isinstance(result, Undecided)
+        assert result.nodes_explored == cap
+        assert builds <= cap + 1

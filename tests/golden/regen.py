@@ -1,5 +1,13 @@
-"""Golden envelopes for ``operadic --json analyze soundness`` and
-``operadic --json plan --export-lp``, and golden ``--help`` texts.
+"""Golden envelopes for ``operadic --json analyze soundness``,
+``operadic --json plan`` and ``operadic --json plan --export-lp``, and golden
+``--help`` texts.
+
+The ``plan`` cases solve scenarios on the rescue tasking net: the rescue
+fixture at the timed and plan levels, under ``feasible`` at the plan level,
+and with ``--node-cap 5`` (undecided); the refuel fleet at the timed level
+(solved, with a fuel trace) and with a horizon of 4 (infeasible, with a
+reserve and a goal conflict at step 4); and the survival fixture at both
+levels.
 
 Each case runs the command in process, in a temporary directory that holds
 its inputs under fixed relative names, so the envelope's ``inputs`` keys do
@@ -179,6 +187,15 @@ def export(scenario: dict, level: str) -> str:
                             "--level", level, "--export-lp", "model.lp"])
 
 
+def plan(scenario: dict, level: str, *extra: str) -> str:
+    """``plan`` of ``scenario`` on the rescue tasking net at ``level``, solved,
+    with ``extra`` flags after the level."""
+    files = {"rescue_tasking.json": (DATA / "rescue_tasking.json").read_text(),
+             "scenario.json": json.dumps(scenario, indent=2)}
+    return envelope(files, ["plan", "rescue_tasking.json", "scenario.json",
+                            "--level", level, *extra])
+
+
 def help_text(argv: list[str]) -> str:
     """``operadic ARGV --help`` as printed for an 80-column terminal."""
     from operadic.cli import main
@@ -211,6 +228,14 @@ CASES: dict[str, Callable[[], str]] = {
     "export_refuel_timed.json": lambda: export(_refuel(), "timed"),
     "export_survival_timed.json": lambda: export(_survival(), "timed"),
     "export_seeded_fleet_timed.json": lambda: export(_seeded_fleet(), "timed"),
+    "plan_rescue_timed.json": lambda: plan(_rescue(), "timed"),
+    "plan_rescue_plan.json": lambda: plan(_rescue(), "plan"),
+    "plan_refuel_timed.json": lambda: plan(_refuel(), "timed"),
+    "plan_survival_timed.json": lambda: plan(_survival(), "timed"),
+    "plan_survival_plan.json": lambda: plan(_survival(), "plan"),
+    "plan_rescue_feasible_plan.json": lambda: plan({**_rescue(), "objective": "feasible"}, "plan"),
+    "plan_refuel_h4_timed.json": lambda: plan({**_refuel(), "horizon": 4}, "timed"),
+    "plan_rescue_cap5_timed.json": lambda: plan(_rescue(), "timed", "--node-cap", "5"),
     "help_operadic.txt": lambda: help_text([]),
     "help_plan.txt": lambda: help_text(["plan"]),
     "help_synthesize.txt": lambda: help_text(["synthesize"]),

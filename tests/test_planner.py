@@ -525,6 +525,21 @@ class TestLevels:
         assert lifted.truncated
         assert len(lifted.solutions) == 1
 
+    def test_lift_waits_for_movers_to_reach_the_source(self, rescue):
+        # t1 takes two ticks, so the t4 that needs both agents at c can start
+        # no sooner than two ticks after the t1 pair.
+        fleet = (Agent("u1", "uh60", "a"), Agent("u2", "uh60", "a"))
+        plan = solve(compile_untimed(rescue, fleet, 2, {("d", "uh60"): 2}, "min_makespan"))
+        assert [(j, b.name) for j, b in plan.schedule] == [(0, "t1"), (0, "t1"), (1, "t4")]
+        lifted = lift(plan, Level.TIMED, horizon=6)
+        assert not lifted.truncated
+        starts = [
+            (min(t for t, b in s.schedule if b.name == "t1"),
+             min(t for t, b in s.schedule if b.name == "t4"))
+            for s in lifted.solutions
+        ]
+        assert starts == [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4)]
+
     def test_micro_net_round_trips(self):
         rng = random.Random(20260815)
         exercised = 0

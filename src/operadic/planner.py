@@ -770,26 +770,6 @@ class _Search:
         elif t == self.deepest:
             self.conflicts.add(reason)
 
-    def _fuel_step(self, fuel: dict[str, float], positions, started) -> None:
-        """Charge one tick in place: waiting burn, then task costs, then the clamp."""
-        spec = self.cs.fuel
-        if self.cs.level is Level.TIMED:
-            for agent, place in positions.items():
-                if place is not None:
-                    fuel[agent] -= spec.rate(self.color_of[agent], place)
-        for bi in started:
-            b = self.cs.bindings[bi]
-            for agent, _, _ in b.moves:
-                cost = spec.cost(b.name, self.color_of[agent])
-                if cost:
-                    fuel[agent] -= cost
-        for agent in fuel:
-            cap = self.agents_by_id[agent].fuel_max
-            if spec.literal_update:
-                fuel[agent] = max(fuel[agent], cap)
-            else:
-                fuel[agent] = min(fuel[agent], cap)
-
     def _check_reserve(self, fuel: dict[str, float], t: int) -> str | None:
         for agent, level in fuel.items():
             reserve = self.agents_by_id[agent].fuel_min
@@ -824,8 +804,7 @@ class _Search:
             bad = self._check_reserve(fuel, 0)
             if bad is not None:
                 return Infeasible((bad,), 0)
-        self._dfs(0, positions, {}, fuel, [], [TypeVector.of(positions)],
-                  [tuple(sorted(fuel.items()))] if fuel is not None else None, 0.0)
+        self._dfs(0, positions, {}, fuel, [], 0.0)
         if self.capped:
             best = self.best[1] if self.best else None
             return Undecided(self.nodes, best)
@@ -848,24 +827,19 @@ class _Search:
     def _better(self, score: float) -> bool:
         return self.best is None or score < self.best[0] - 1e-12
 
-    def _record(self, schedule, markings, fuel_trace, risk_log):
+    def _record(self, schedule, risk_log):
+        """Replay a goal leaf into a ``Solution`` if it is listed or beats the incumbent."""
+        cs = self.cs
         score = self._score(schedule, risk_log)
-        sol = Solution(
-            level=self.cs.level,
-            steps=self.cs.steps,
-            template=self.cs.template,
-            agents=self.cs.agents,
-            schedule=tuple((t, self.cs.bindings[bi]) for t, bi in schedule),
-            markings=tuple(markings),
-            fuel_trace=tuple(fuel_trace) if fuel_trace is not None else None,
-            objective_value=(-score if self.cs.objective == "max_survival" else score)
-            if self.cs.objective != "feasible"
-            else None,
-        )
+        if self.collect_all is None and not self._better(score):
+            return
+        sol = _replay(cs.template, cs.agents, cs.level, cs.steps,
+                      [(t, cs.bindings[bi]) for t, bi in schedule], cs.fuel,
+                      objective_value=None if cs.objective == "feasible"
+                      else -score if cs.objective == "max_survival" else score)
         if self.collect_all is not None:
             self.all.append(sol)
-            return
-        if self._better(score):
+        else:
             self.best = (score, sol)
 
     def _prune(self, schedule, risk_log, t) -> bool:
@@ -880,7 +854,7 @@ class _Search:
             return -risk_log >= self.best[0] - 1e-12
         return False
 
-    def _dfs(self, t, positions, busy, fuel, schedule, markings, fuel_trace, risk_log):
+    def _dfs(self, t, positions, busy, fuel, schedule, risk_log):
         if self.capped:
             return
         if self.nodes >= self.node_cap:
@@ -909,7 +883,7 @@ class _Search:
                 return
             unmet = self.goal_met(positions)
             if unmet is None:
-                self._record(schedule, markings, fuel_trace, risk_log)
+                self._record(schedule, risk_log)
             else:
                 self._blocked(t, unmet)
             return
@@ -921,8 +895,7 @@ class _Search:
             if self.capped:  # the result is settled: build no more children
                 return
             # fire the chosen subset, advance one tick, recurse
-            self._apply_and_recurse(t, positions, busy, fuel, schedule, markings,
-                                    fuel_trace, risk_log, list(chosen))
+            self._apply_and_recurse(t, positions, busy, fuel, schedule, risk_log, chosen)
             for i, bi in enumerate(options):
                 b = self.cs.bindings[bi]
                 agents = set(b.agents)
@@ -934,45 +907,22 @@ class _Search:
 
         branch(startable)
 
-    def _apply_and_recurse(self, t, positions, busy, fuel, schedule, markings,
-                           fuel_trace, risk_log, started):
+    def _apply_and_recurse(self, t, positions, busy, fuel, schedule, risk_log, started):
         cs = self.cs
-        new_positions = dict(positions)
-        new_busy = dict(busy)
-        new_risk = risk_log
         if cs.risk is not None:
             for agent, place in positions.items():
                 if place is not None:
-                    new_risk += cs.risk.place_log(self.color_of[agent], place)
+                    risk_log += cs.risk.place_log(self.color_of[agent], place)
             for bi in started:
-                new_risk += cs.risk.transition_log(cs.bindings[bi].name)
-        for bi in started:
-            b = cs.bindings[bi]
-            for agent, _src, dst in b.moves:
-                new_positions[agent] = None
-                new_busy[agent] = (t + self.durations[bi], dst, b.name)
-        new_fuel = dict(fuel) if fuel is not None else None
-        if new_fuel is not None:
-            self._fuel_step(new_fuel, positions, started)
-        # completions land at t + 1
-        for agent, (release, dst, via) in list(new_busy.items()):
-            if release == t + 1:
-                new_positions[agent] = dst
-                del new_busy[agent]
-                if new_fuel is not None and cs.fuel.receives(via, self.color_of[agent]):
-                    new_fuel[agent] = self.agents_by_id[agent].fuel_max
-        if new_fuel is not None:
-            bad = self._check_reserve(new_fuel, t + 1)
+                risk_log += cs.risk.transition_log(cs.bindings[bi].name)
+        positions, busy, fuel = _step(cs.level, cs.fuel, self.agents_by_id, positions, busy,
+                                      fuel, t, [cs.bindings[bi] for bi in started])
+        if fuel is not None:
+            bad = self._check_reserve(fuel, t + 1)
             if bad is not None:
                 self._blocked(t + 1, bad)
                 return
-        new_schedule = schedule + [(t, bi) for bi in sorted(started)]
-        new_markings = markings + [TypeVector.of(new_positions)]
-        new_trace = (
-            fuel_trace + [tuple(sorted(new_fuel.items()))] if fuel_trace is not None else None
-        )
-        self._dfs(t + 1, new_positions, new_busy, new_fuel, new_schedule,
-                  new_markings, new_trace, new_risk)
+        self._dfs(t + 1, positions, busy, fuel, schedule + [(t, bi) for bi in started], risk_log)
 
 
 def solve(cs: ConstraintSystem, node_cap: int = DEFAULT_NODE_CAP):
@@ -996,37 +946,75 @@ def solve_all(cs: ConstraintSystem, limit: int, node_cap: int = DEFAULT_NODE_CAP
 # level changes
 
 
-def _replay(template, agents, level: Level, steps: int, schedule) -> Solution | None:
-    """Re-run a (start, binding) schedule tick by tick, keeping its order.
+def _step(level: Level, fuel_spec: FuelSpec | None, agents_by_id: Mapping[str, Agent],
+          positions, busy, fuel, t: int, started_bindings):
+    """One tick from t to t + 1: the firing rule of the search and of every replay.
+
+    Starts the tasks; under fuel charges the waiting burn (timed level, at the
+    places held before the starts), then the task costs, then the clamp; lands
+    completions at t + 1, where a refuelling task fills the tank.  Returns the
+    new (positions, busy, fuel), or None when a mover is away from its source.
+    """
+    new_positions = dict(positions)
+    new_busy = dict(busy)
+    for b in started_bindings:
+        for agent, src, dst in b.moves:
+            if new_positions.get(agent) != src:
+                return None
+            new_positions[agent] = None
+            new_busy[agent] = (t + _duration(level, b), dst, b.name)
+    new_fuel = dict(fuel) if fuel is not None else None
+    if new_fuel is not None:
+        if level is Level.TIMED:
+            for agent, place in positions.items():
+                if place is not None:
+                    new_fuel[agent] -= fuel_spec.rate(agents_by_id[agent].color, place)
+        for b in started_bindings:
+            for agent, _, _ in b.moves:
+                cost = fuel_spec.cost(b.name, agents_by_id[agent].color)
+                if cost:
+                    new_fuel[agent] -= cost
+        clamp = max if fuel_spec.literal_update else min
+        for agent in new_fuel:
+            new_fuel[agent] = clamp(new_fuel[agent], agents_by_id[agent].fuel_max)
+    for agent, (release, dst, via) in list(new_busy.items()):
+        if release == t + 1:
+            new_positions[agent] = dst
+            del new_busy[agent]
+            if new_fuel is not None and fuel_spec.receives(via, agents_by_id[agent].color):
+                new_fuel[agent] = agents_by_id[agent].fuel_max
+    return new_positions, new_busy, new_fuel
+
+
+def _replay(template, agents, level: Level, steps: int, schedule, fuel_spec: FuelSpec | None = None,
+            objective_value: float | None = None) -> Solution | None:
+    """Re-run a (start, binding) schedule through ``_step``, keeping its order.
 
     None when some task finds an agent away from its source, or is still
-    running at ``steps``.  Completions land at t + 1, exactly like the solver.
+    running at ``steps``.  With ``fuel_spec`` the solution carries the fuel
+    trace; reserves are the search's to check.
     """
+    agents_by_id = {a.id: a for a in agents}
     positions = {a.id: a.start for a in agents}
-    busy: dict[str, tuple[int, str]] = {}
+    busy: dict[str, tuple[int, str, str]] = {}
+    fuel = {a.id: a.fuel_init for a in agents} if fuel_spec is not None else None
     markings = [TypeVector.of(positions)]
+    trace = [tuple(sorted(fuel.items()))] if fuel is not None else None
     for t in range(steps):
-        for b in (b for s, b in schedule if s == t):
-            for agent, src, dst in b.moves:
-                if positions.get(agent) != src:
-                    return None
-                positions[agent] = None
-                busy[agent] = (t + _duration(level, b), dst)
-        for agent, (release, dst) in list(busy.items()):
-            if release == t + 1:
-                positions[agent] = dst
-                del busy[agent]
+        state = _step(level, fuel_spec, agents_by_id, positions, busy, fuel, t,
+                      [b for s, b in schedule if s == t])
+        if state is None:
+            return None
+        positions, busy, fuel = state
         markings.append(TypeVector.of(positions))
+        if trace is not None:
+            trace.append(tuple(sorted(fuel.items())))
     if busy:
         return None
-    return Solution(
-        level=level,
-        steps=steps,
-        template=template,
-        agents=tuple(agents),
-        schedule=tuple(schedule),
-        markings=tuple(markings),
-    )
+    return Solution(level=level, steps=steps, template=template, agents=tuple(agents),
+                    schedule=tuple(schedule), markings=tuple(markings),
+                    fuel_trace=None if trace is None else tuple(trace),
+                    objective_value=objective_value)
 
 
 def project(sol: Solution | CountsSolution, to_level: Level):
@@ -1184,6 +1172,8 @@ def _lift_counts_to_plan(counts: CountsSolution, agents: tuple[Agent, ...], cap:
             if _disjoint(batch):
                 yield batch
 
+    agents_by_id = {a.id: a for a in agents}
+
     def walk(j, positions, batches):
         nonlocal truncated
         if len(out) >= cap:
@@ -1196,10 +1186,7 @@ def _lift_counts_to_plan(counts: CountsSolution, agents: tuple[Agent, ...], cap:
                 out.append(plan)
             return
         for batch in step_options(positions, j):
-            next_pos = dict(positions)
-            for b in batch:
-                for agent, _, dst in b.moves:
-                    next_pos[agent] = dst
+            next_pos, _, _ = _step(Level.PLAN, None, agents_by_id, positions, {}, None, j, batch)
             walk(j + 1, next_pos, batches + [batch])
 
     walk(0, {a.id: a.start for a in agents}, [])

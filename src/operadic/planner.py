@@ -800,10 +800,6 @@ class _Search:
     def run(self):
         positions: dict[str, str | None] = {a.id: a.start for a in self.cs.agents}
         fuel = {a.id: a.fuel_init for a in self.cs.agents} if self.cs.fuel else None
-        if fuel is not None:
-            bad = self._check_reserve(fuel, 0)
-            if bad is not None:
-                return Infeasible((bad,), 0)
         self._dfs(0, positions, {}, fuel, [], 0.0)
         if self.capped:
             best = self.best[1] if self.best else None
@@ -861,6 +857,10 @@ class _Search:
             self.capped = True
             return
         self.nodes += 1
+        bad = self._check_reserve(fuel, t) if fuel is not None else None
+        if bad is not None:
+            self._blocked(t, bad)
+            return
         if self.collect_all is not None and len(self.all) >= self.collect_all:
             return
         if self._prune(schedule, risk_log, t):
@@ -917,11 +917,6 @@ class _Search:
                 risk_log += cs.risk.transition_log(cs.bindings[bi].name)
         positions, busy, fuel = _step(cs.level, cs.fuel, self.agents_by_id, positions, busy,
                                       fuel, t, [cs.bindings[bi] for bi in started])
-        if fuel is not None:
-            bad = self._check_reserve(fuel, t + 1)
-            if bad is not None:
-                self._blocked(t + 1, bad)
-                return
         self._dfs(t + 1, positions, busy, fuel, schedule + [(t, bi) for bi in started], risk_log)
 
 
@@ -932,7 +927,8 @@ def solve(cs: ConstraintSystem, node_cap: int = DEFAULT_NODE_CAP):
     before starting tasks, and task subsets in ascending binding-index
     order.  Ties on the objective go to the first optimum found in that
     order, so results are reproducible run to run.  ``node_cap`` counts
-    every state entered, memoised revisits included.
+    every state entered, memoised revisits and states below a fuel reserve
+    included.
     """
     return _Search(cs, node_cap).run()
 

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import math
@@ -956,12 +957,19 @@ def test_memo_decides_a_search_the_plain_dfs_leaves_undecided(rescue):
 
 
 def test_node_cap_stops_child_builds(rescue, monkeypatch):
-    # A no-fuel rescue fleet far too large to decide under a small cap:
-    # once the cap fires, no open frame may build another child.
+    # Rescue fleets far too large to decide under a small cap: once the cap
+    # fires, no open frame may build another child.  Without fuel; and with
+    # the golden seeded fuel fleet, whose children often fail the reserve
+    # check, so those count against the cap too.
     rng = random.Random(14)
     fleet = tuple(Agent(f"u{i:02d}", "uh60", rng.choice("ab")) for i in range(10))
     fleet += (Agent("h1", "hc130", "c"),)
-    cs = compile_timed(rescue, fleet, 14, {("d", "uh60"): 5}, "min_makespan")
+    plain = compile_timed(rescue, fleet, 14, {("d", "uh60"): 5}, "min_makespan")
+    spec = importlib.util.spec_from_file_location("golden_regen", DATA.parent / "golden" / "regen.py")
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    fuelled = compile_scenario(rescue, parse_plan_scenario(regen._seeded_fleet()))
+    assert fuelled.fuel is not None
     builds = 0
     apply_and_recurse = _Search._apply_and_recurse
 
@@ -971,9 +979,10 @@ def test_node_cap_stops_child_builds(rescue, monkeypatch):
         return apply_and_recurse(self, *args)
 
     monkeypatch.setattr(_Search, "_apply_and_recurse", counted)
-    for cap in (10, 200):
-        builds = 0
-        result = solve(cs, node_cap=cap)
-        assert isinstance(result, Undecided)
-        assert result.nodes_explored == cap
-        assert builds <= cap + 1
+    for cs in (plain, fuelled):
+        for cap in (10, 200):
+            builds = 0
+            result = solve(cs, node_cap=cap)
+            assert isinstance(result, Undecided)
+            assert result.nodes_explored == cap
+            assert builds <= cap + 1

@@ -800,7 +800,13 @@ class _Search:
     def run(self):
         positions: dict[str, str | None] = {a.id: a.start for a in self.cs.agents}
         fuel = {a.id: a.fuel_init for a in self.cs.agents} if self.cs.fuel else None
-        self._dfs(0, positions, {}, fuel, [], 0.0)
+        try:
+            self._dfs(0, positions, {}, fuel, [], 0.0)
+        except RecursionError:  # a few frames per tick: deep horizons overflow the stack
+            raise PlannerError(
+                f"horizon {self.cs.steps} is too deep for the depth-first search; "
+                "--export-lp writes the model for an LP solver, which has no depth limit"
+            ) from None
         if self.capped:
             best = self.best[1] if self.best else None
             return Undecided(self.nodes, best)

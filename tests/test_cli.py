@@ -288,6 +288,24 @@ class TestPlan:
         assert doc["report"]["objective_value"] is None
         assert "solved: makespan" in err
 
+    def test_deep_horizon_is_an_input_error_not_a_traceback(self, capsys, tmp_path):
+        # One uh60 cannot reach d (t4 moves pairs): the search walks every tick.
+        scenario = {"version": 1, "agents": [{"id": "u1", "color": "uh60", "start": "a"}],
+                    "objective": "feasible", "goal": {"d": {"uh60": 1}}}
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({**scenario, "horizon": 100}))
+        code, doc, _ = run_json(capsys, "plan", str(DATA / "rescue_tasking.json"), str(path))
+        assert code == 2
+        assert doc["report"]["status"] == "infeasible"
+
+        path.write_text(json.dumps({**scenario, "horizon": 400}))
+        code, doc, err = run_json(capsys, "plan", str(DATA / "rescue_tasking.json"), str(path))
+        assert code == 1
+        assert not doc["error"].startswith("internal error:")
+        assert "horizon 400" in doc["error"] and "--export-lp" in doc["error"]
+        assert "Traceback" not in err
+        assert "invalid input:" in err
+
     def test_lp_export_skips_solving_and_round_trips(self, capsys, tmp_path):
         out = tmp_path / "rescue.lp"
         code, doc, _ = run_json(

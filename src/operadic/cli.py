@@ -103,6 +103,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _sha256(data: bytes) -> str:
     # hashlib loads OpenSSL, so it comes in at first use, not with this module
     import hashlib
@@ -487,7 +497,7 @@ def build_parser() -> _Parser:
                    default=Level.TIMED.value)
     p.add_argument("--export-lp", default=None, metavar="FILE",
                    help="write the LP rendering here instead of solving")
-    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
+    p.add_argument("--node-cap", type=_positive_int, default=DEFAULT_NODE_CAP)
     p.set_defaults(handler="_cmd_plan")
 
     p = sub.add_parser("synthesize", help="search for a fleet design")

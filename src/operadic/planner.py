@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .dialect import InputError, Reader
@@ -734,13 +735,18 @@ class Undecided:
 class _Search:
     """Deterministic depth-first branch-and-bound over task start vectors.
 
+    ``run`` is one loop over a stack of child iterators, so no horizon is
+    too deep for it: ``_enter`` checks a state, ``_children`` yields its
+    start subsets and ``_apply`` builds each child through ``_step``.
+
     ``memo`` maps each search state (tick, and per agent class the sorted
     agent states) to the best prefix score it was entered with.  A revisit
     that scores no better is cut: the earlier visit, first in exploration
     order, already explored an equally good completion or a permuted copy
     of one.  Agents of one colour are interchangeable unless fuel is
     modelled; reserve reasons name agents, so then each agent is its own
-    class.  ``solve_all`` lists every solution and keeps no memo.
+    class.  ``solve_all`` lists every solution, keeps no memo, and stops as
+    soon as its list is full.
     """
 
     def __init__(self, cs: ConstraintSystem, node_cap: int, collect_all: int | None = None):
@@ -800,16 +806,20 @@ class _Search:
     def run(self):
         positions: dict[str, str | None] = {a.id: a.start for a in self.cs.agents}
         fuel = {a.id: a.fuel_init for a in self.cs.agents} if self.cs.fuel else None
-        try:
-            self._dfs(0, positions, {}, fuel, [], 0.0)
-        except RecursionError:  # a few frames per tick: deep horizons overflow the stack
-            raise PlannerError(
-                f"horizon {self.cs.steps} is too deep for the depth-first search; "
-                "--export-lp writes the model for an LP solver, which has no depth limit"
-            ) from None
+        limit = math.inf if self.collect_all is None else self.collect_all
+        stack = [iter([(0, positions, {}, fuel, [], 0.0)])]  # iterators over child states
+        while stack and len(self.all) < limit:
+            state = next(stack[-1], None)
+            if state is None:
+                stack.pop()
+                continue
+            startable = self._enter(*state)
+            if self.capped:
+                break
+            if startable is not None:
+                stack.append(map(partial(self._apply, *state), self._children(startable)))
         if self.capped:
-            best = self.best[1] if self.best else None
-            return Undecided(self.nodes, best)
+            return Undecided(self.nodes, self.best[1] if self.best else None)
         if self.collect_all is not None:
             return self.all
         if self.best is None:
@@ -856,21 +866,18 @@ class _Search:
             return -risk_log >= self.best[0] - 1e-12
         return False
 
-    def _dfs(self, t, positions, busy, fuel, schedule, risk_log):
-        if self.capped:
-            return
+    def _enter(self, t, positions, busy, fuel, schedule, risk_log) -> list[int] | None:
+        """Count and check a state; the bindings it may start, or None for a leaf."""
         if self.nodes >= self.node_cap:
             self.capped = True
-            return
+            return None
         self.nodes += 1
         bad = self._check_reserve(fuel, t) if fuel is not None else None
         if bad is not None:
             self._blocked(t, bad)
-            return
-        if self.collect_all is not None and len(self.all) >= self.collect_all:
-            return
+            return None
         if self._prune(schedule, risk_log, t):
-            return
+            return None
         if self.memo is not None:
             key = [t]  # flat: every class has a fixed size and every state three fields
             for group in self.classes:
@@ -881,39 +888,31 @@ class _Search:
             score = self._score(schedule, risk_log)
             seen = self.memo.get(key)
             if seen is not None and seen <= score:
-                return
+                return None
             self.memo[key] = score
         if t == self.cs.steps:
-            if busy:
-                self._blocked(t, "tasks still running at the horizon")
-                return
-            unmet = self.goal_met(positions)
+            unmet = "tasks still running at the horizon" if busy else self.goal_met(positions)
             if unmet is None:
                 self._record(schedule, risk_log)
             else:
                 self._blocked(t, unmet)
-            return
+            return None
+        return self.startable(positions, t)
 
-        startable = self.startable(positions, t)
-        chosen: list[int] = []
+    def _children(self, options: list[int]):
+        """Each agent-disjoint subset of ``options``: waiting first, then in ascending
+        binding-index prefix order.  The stack holds (chosen, next index, agents used)."""
+        stack = [((), 0, frozenset())]
+        while stack:
+            chosen, i, used = stack.pop()
+            yield chosen
+            for j in range(len(options) - 1, i - 1, -1):  # pushed reversed, popped ascending
+                agents = self.cs.bindings[options[j]].agents
+                if used.isdisjoint(agents):
+                    stack.append((chosen + (options[j],), j + 1, used.union(agents)))
 
-        def branch(options: list[int]):
-            if self.capped:  # the result is settled: build no more children
-                return
-            # fire the chosen subset, advance one tick, recurse
-            self._apply_and_recurse(t, positions, busy, fuel, schedule, risk_log, chosen)
-            for i, bi in enumerate(options):
-                b = self.cs.bindings[bi]
-                agents = set(b.agents)
-                if any(agents & set(self.cs.bindings[c].agents) for c in chosen):
-                    continue
-                chosen.append(bi)
-                branch(options[i + 1 :])
-                chosen.pop()
-
-        branch(startable)
-
-    def _apply_and_recurse(self, t, positions, busy, fuel, schedule, risk_log, started):
+    def _apply(self, t, positions, busy, fuel, schedule, risk_log, started):
+        """The child state after starting ``started`` at ``t``."""
         cs = self.cs
         if cs.risk is not None:
             for agent, place in positions.items():
@@ -923,7 +922,7 @@ class _Search:
                 risk_log += cs.risk.transition_log(cs.bindings[bi].name)
         positions, busy, fuel = _step(cs.level, cs.fuel, self.agents_by_id, positions, busy,
                                       fuel, t, [cs.bindings[bi] for bi in started])
-        self._dfs(t + 1, positions, busy, fuel, schedule + [(t, bi) for bi in started], risk_log)
+        return t + 1, positions, busy, fuel, schedule + [(t, bi) for bi in started], risk_log
 
 
 def solve(cs: ConstraintSystem, node_cap: int = DEFAULT_NODE_CAP):
@@ -934,13 +933,13 @@ def solve(cs: ConstraintSystem, node_cap: int = DEFAULT_NODE_CAP):
     order.  Ties on the objective go to the first optimum found in that
     order, so results are reproducible run to run.  ``node_cap`` counts
     every state entered, memoised revisits and states below a fuel reserve
-    included.
+    included; it is the search's only bound, whatever the horizon.
     """
     return _Search(cs, node_cap).run()
 
 
 def solve_all(cs: ConstraintSystem, limit: int, node_cap: int = DEFAULT_NODE_CAP):
-    """All feasible solutions in deterministic order, up to ``limit``."""
+    """All feasible solutions in deterministic order; stops once it has ``limit``."""
     return _Search(cs, node_cap, collect_all=limit).run()
 
 

@@ -53,6 +53,16 @@ class TestFraming:
         assert out == ""
         assert "template" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_node_cap_below_one_is_an_argument_error(self, capsys, cap):
+        argv = ("plan", str(DATA / "rescue_tasking.json"), str(DATA / "rescue_scenario.json"),
+                "--node-cap", cap)
+        for mode in ((), ("--json",)):
+            code, out, err = run(capsys, *mode, *argv)
+            assert code == 1
+            assert out == ""
+            assert f"--node-cap: must be at least 1, got {cap}" in err
+
     def test_json_mode_emits_exactly_one_document(self, capsys):
         code, out, _ = run(capsys, "--json", "validate", "catalog", str(DATA / "sailboat_catalog.json"))
         assert code == 0
@@ -288,23 +298,21 @@ class TestPlan:
         assert doc["report"]["objective_value"] is None
         assert "solved: makespan" in err
 
-    def test_deep_horizon_is_an_input_error_not_a_traceback(self, capsys, tmp_path):
-        # One uh60 cannot reach d (t4 moves pairs): the search walks every tick.
+    def test_deep_horizon_is_searched_to_the_end(self, capsys, tmp_path):
+        # One uh60 cannot reach d (t4 moves pairs): the search walks every
+        # tick.  It keeps its own stack, so no horizon is too deep for it.
         scenario = {"version": 1, "agents": [{"id": "u1", "color": "uh60", "start": "a"}],
                     "objective": "feasible", "goal": {"d": {"uh60": 1}}}
         path = tmp_path / "deep.json"
-        path.write_text(json.dumps({**scenario, "horizon": 100}))
-        code, doc, _ = run_json(capsys, "plan", str(DATA / "rescue_tasking.json"), str(path))
-        assert code == 2
-        assert doc["report"]["status"] == "infeasible"
-
-        path.write_text(json.dumps({**scenario, "horizon": 400}))
-        code, doc, err = run_json(capsys, "plan", str(DATA / "rescue_tasking.json"), str(path))
-        assert code == 1
-        assert not doc["error"].startswith("internal error:")
-        assert "horizon 400" in doc["error"] and "--export-lp" in doc["error"]
-        assert "Traceback" not in err
-        assert "invalid input:" in err
+        for horizon in (400, 3_000):
+            path.write_text(json.dumps({**scenario, "horizon": horizon}))
+            code, doc, err = run_json(capsys, "plan", str(DATA / "rescue_tasking.json"), str(path))
+            assert code == 2
+            assert doc["report"]["status"] == "infeasible"
+            assert doc["report"]["deepest_step"] == horizon
+            assert "Traceback" not in err
+            code, doc, _ = run_json(capsys, "validate", "plan-scenario", str(path))
+            assert code == 0 and doc["ok"] is True
 
     def test_lp_export_skips_solving_and_round_trips(self, capsys, tmp_path):
         out = tmp_path / "rescue.lp"

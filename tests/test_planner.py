@@ -367,6 +367,16 @@ class TestSolve:
         assert solve_all(cs, limit=50) is not sols
         assert [s.schedule for s in solve_all(cs, limit=50)] == [s.schedule for s in sols]
 
+    def test_solve_all_stops_once_its_list_is_full(self, rescue):
+        # Waiting out the horizon fills a one-solution list at node 4: a cap
+        # that open frames would reach later must not turn it into Undecided.
+        cs = compile_timed(rescue, pair_fleet(), 3)
+        full = solve_all(cs, limit=1)
+        assert [s.schedule for s in full] == [()]
+        assert isinstance(solve_all(cs, limit=1, node_cap=3), Undecided)
+        for cap in range(4, 11):
+            assert solve_all(cs, limit=1, node_cap=cap) == full
+
 
 class TestFuel:
     def fueled(self, rescue, **agent_fuel):
@@ -971,14 +981,14 @@ def test_node_cap_stops_child_builds(rescue, monkeypatch):
     fuelled = compile_scenario(rescue, parse_plan_scenario(regen._seeded_fleet()))
     assert fuelled.fuel is not None
     builds = 0
-    apply_and_recurse = _Search._apply_and_recurse
+    apply = _Search._apply
 
     def counted(self, *args):
         nonlocal builds
         builds += 1
-        return apply_and_recurse(self, *args)
+        return apply(self, *args)
 
-    monkeypatch.setattr(_Search, "_apply_and_recurse", counted)
+    monkeypatch.setattr(_Search, "_apply", counted)
     for cs in (plain, fuelled):
         for cap in (10, 200):
             builds = 0

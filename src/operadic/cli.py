@@ -377,8 +377,8 @@ def _cmd_plan(args, inputs) -> tuple[dict, list[str], int]:
         human.append(f"wrote {len(lp_text.splitlines())} LP lines to {args.export_lp}")
         return report, human, 0
     outcome = solve(cs, node_cap=args.node_cap)
+    report.update({"status": "solved", **outcome.to_dict()})  # the other outcomes name their own
     if isinstance(outcome, Solution):
-        report.update({"status": "solved", **outcome.to_dict()})
         timeline = {
             a.id: [row.place_of(a.id) for row in outcome.markings]
             for a in outcome.agents
@@ -397,15 +397,10 @@ def _cmd_plan(args, inputs) -> tuple[dict, list[str], int]:
             human.append(f"  {agent_id:>{width}}: {row}")
         return report, human, 0
     if isinstance(outcome, Infeasible):
-        report["status"] = "infeasible"
-        report["conflicts"] = list(outcome.conflicts)
-        report["deepest_step"] = outcome.deepest_step
         human.append("infeasible:")
         human += [f"  {c}" for c in outcome.conflicts]
         return report, human, 2
     assert isinstance(outcome, Undecided)
-    report["status"] = "undecided"
-    report["nodes_explored"] = outcome.nodes_explored
     human.append(f"undecided after {outcome.nodes_explored} nodes")
     return report, human, 2
 

@@ -19,6 +19,14 @@ agents at their source places in ``m_s``, leaves them off the board for
 finish inside the horizon.  With ``d = 1`` this reduces to the untimed rule
 ``m_{j+1} = m_j + M^T sigma_j`` with ``m_j >= (M^s)^T sigma_j``.
 
+One table per system (``_Net``, ``ConstraintSystem.net``) indexes the
+fleet once: agents by fleet position, places by template position
+(columns), and per binding its duration at the level, its moves as
+(agent, source column, target column) and its fuel and risk terms.  The
+exact search, the tick rule ``_step``, every replay and the LP assembly all
+read it; agent ids and place names come back only in reasons, markings,
+fuel traces and LP names.
+
 Three granularities are supported: TIMED (start times), PLAN (ordered
 batches, durations erased) and COUNTS (agent identities erased).  ``project``
 coarsens a solution, checking rather than assuming feasibility; ``lift``
@@ -39,14 +47,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from functools import cached_property, partial
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .dialect import InputError, Reader
 from .lp import LpConstraint, LpModel
 from .options import DEFAULT_NODE_CAP, Level
-from .template import TaskingTemplate, Transition, parse_tasking_template
+from .template import TaskingTemplate, Transition
 
 if TYPE_CHECKING:  # numpy is imported by the matrix accessors alone
     import numpy as np
@@ -271,6 +280,61 @@ def enumerate_bindings(template: TaskingTemplate, agents: Sequence[Agent]) -> tu
     return tuple(sorted(bindings, key=sort_key))
 
 
+class _Net:
+    """A system's facts by index, worked out once for the search, ``_step``,
+    every replay and the LP.  Agent ``k`` is ``agents[k]`` (fleet order),
+    column ``j`` is ``places[j]`` (template order) and binding ``bi`` is
+    ``bindings[bi]``.  A search state is three tuples over agents: each one's
+    column (-1 while mid-task), its task in flight ``(release, target
+    column, transition index)`` or ``()``, and under fuel its level.
+    """
+
+    def __init__(self, level: Level, template: TaskingTemplate, agents: Sequence[Agent],
+                 bindings: Sequence[TaskBinding], fuel: FuelSpec | None = None,
+                 risk: RiskSpec | None = None):
+        self.level, self.template, self.fuel, self.risk = level, template, fuel, risk
+        self.agents, self.bindings, self.places = tuple(agents), tuple(bindings), template.places
+        self.column = {p: j for j, p in enumerate(self.places)}
+        index = {a.id: k for k, a in enumerate(self.agents)}
+        self.starts = tuple(self.column[a.start] for a in self.agents)
+        self.idle = ((),) * len(self.agents)
+        self.durations = tuple(_duration(level, b) for b in self.bindings)
+        self.moves = tuple(
+            tuple((index[a], self.column[src], self.column[dst]) for a, src, dst in b.moves)
+            for b in self.bindings
+        )
+        self.movers = tuple(tuple(k for k, _, _ in moves) for moves in self.moves)
+        # fuel: initial levels; waiting burn per agent and column (none at the
+        # plan level, which erases waiting); per binding the (agent, cost) of
+        # each mover with a cost; per transition the agents it refuels
+        self.fuel_init = self.burn = self.charges = self.refuelled = None
+        if fuel is not None:
+            self.fuel_init = tuple(a.fuel_init for a in self.agents)
+            if level is Level.TIMED:
+                self.burn = tuple(tuple(fuel.rate(a.color, p) for p in self.places)
+                                  for a in self.agents)
+            costs = [[(k, fuel.cost(b.name, self.agents[k].color)) for k in movers]
+                     for b, movers in zip(self.bindings, self.movers)]
+            self.charges = tuple(tuple((k, c) for k, c in row if c) for row in costs)
+            self.refuelled = tuple(
+                frozenset(k for k, a in enumerate(self.agents) if fuel.receives(tr.name, a.color))
+                for tr in template.transitions
+            )
+        # risk: log survival per agent and column, and per binding
+        self.place_logs = self.task_logs = None
+        if risk is not None:
+            self.place_logs = tuple(tuple(risk.place_log(a.color, p) for p in self.places)
+                                    for a in self.agents)
+            self.task_logs = tuple(risk.transition_log(b.name) for b in self.bindings)
+
+    def marking(self, positions: tuple[int, ...]) -> TypeVector:
+        return TypeVector.of({a.id: self.places[j] if j >= 0 else None
+                              for a, j in zip(self.agents, positions)})
+
+    def fuel_row(self, fuel: tuple[float, ...]) -> tuple[tuple[str, float], ...]:
+        return tuple(sorted(zip((a.id for a in self.agents), fuel)))
+
+
 # ---------------------------------------------------------------------------
 # constraint systems
 
@@ -318,8 +382,10 @@ class ConstraintSystem:
     def places(self) -> tuple[str, ...]:
         return self.template.places
 
-    def column(self, agent_index: int, place: str) -> int:
-        return agent_index * len(self.places) + self.places.index(place)
+    @cached_property
+    def net(self) -> _Net:
+        """This system's facts by index, built on first use."""
+        return _Net(self.level, self.template, self.agents, self.bindings, self.fuel, self.risk)
 
     @property
     def column_labels(self) -> tuple[str, ...]:
@@ -330,15 +396,13 @@ class ConstraintSystem:
         ``at_source`` at each source column and ``at_target`` at each target."""
         import numpy as np
 
-        rows = [
-            b for b in self.bindings if duration is None or self.duration(b) == duration
-        ]
-        index = {a.id: i for i, a in enumerate(self.agents)}
-        m = np.zeros((len(rows), len(self.agents) * len(self.places)), dtype=int)
-        for r, b in enumerate(rows):
-            for agent, src, dst in b.moves:
-                m[r, self.column(index[agent], src)] += at_source
-                m[r, self.column(index[agent], dst)] += at_target
+        net, width = self.net, len(self.places)
+        rows = [bi for bi, d in enumerate(net.durations) if duration is None or d == duration]
+        m = np.zeros((len(rows), len(self.agents) * width), dtype=int)
+        for r, bi in enumerate(rows):
+            for k, src, dst in net.moves[bi]:
+                m[r, k * width + src] += at_source
+                m[r, k * width + dst] += at_target
         return m
 
     def update_matrix(self, duration: int | None = None) -> np.ndarray:
@@ -355,12 +419,10 @@ class ConstraintSystem:
             raise PlannerError("no fuel semantics attached")
         import numpy as np
 
-        index = {a.id: i for i, a in enumerate(self.agents)}
         m = np.zeros((len(self.bindings), len(self.agents)))
-        for r, b in enumerate(self.bindings):
-            for agent, _, _ in b.moves:
-                color = self.agents[index[agent]].color
-                m[r, index[agent]] = -self.fuel.cost(b.name, color)
+        for r, charged in enumerate(self.net.charges):
+            for k, cost in charged:
+                m[r, k] = -cost
         return m
 
     # -- LP assembly -------------------------------------------------------
@@ -401,10 +463,8 @@ class ConstraintSystem:
         }
         # per binding: its index, the last tick it may start at, and the
         # parts of its name either side of the start tick
-        parts = []
-        for bi, b in enumerate(self.bindings):
-            d = self.duration(b)
-            parts.append((bi, self.steps - d, f"s_{b.name}", f"d{d}_{b.label()}{suffix.get(bi, '')}"))
+        parts = [(bi, self.steps - d, f"s_{b.name}", f"d{d}_{b.label()}{suffix.get(bi, '')}")
+                 for bi, (b, d) in enumerate(zip(self.bindings, self.net.durations))]
         names = {}
         for t in range(self.steps):
             for bi, last, head, tail in parts:
@@ -413,16 +473,8 @@ class ConstraintSystem:
         return names
 
     def lp_model(self) -> LpModel:
-        agents, places, steps = self.agents, self.places, self.steps
+        net, agents, places, steps = self.net, self.agents, self.places, self.steps
         svars = self._start_vars()
-        index = {a.id: k for k, a in enumerate(agents)}
-        column = {p: j for j, p in enumerate(places)}
-        durations = [self.duration(b) for b in self.bindings]
-        # per binding: (agent index, source column, target column) per move
-        moves = [
-            [(index[agent], column[src], column[dst]) for agent, src, dst in b.moves]
-            for b in self.bindings
-        ]
         m = self._m_names()
         # each (name, +-1.0) term is made once and shared by every row using it
         m_plus = [[[(n, 1.0) for n in row] for row in tick] for tick in m]
@@ -445,9 +497,9 @@ class ConstraintSystem:
         arrivals = [[[[] for _ in places] for _ in agents] for _ in range(steps + 1)]
         midtask = [[[] for _ in agents] for _ in range(steps + 1)]
         for (bi, t), var in svars.items():
-            d = durations[bi]
+            d = net.durations[bi]
             plus, minus = (var, 1.0), (var, -1.0)
-            for k, src, dst in moves[bi]:
+            for k, src, dst in net.moves[bi]:
                 departures[t][k][src].append(plus)
                 arrivals[t + d][k][dst].append(minus)
                 for mid in range(t + 1, t + d):
@@ -482,7 +534,7 @@ class ConstraintSystem:
 
         # goal at the final marking
         for (place, color), count in sorted(self.goal.items()):
-            j = column[place]
+            j = net.column[place]
             terms = tuple(m_plus[steps][k][j] for k, a in enumerate(agents) if a.color == color)
             constraints.append(LpConstraint(f"goal_{place}_{color}", terms, ">=", float(count)))
 
@@ -494,7 +546,7 @@ class ConstraintSystem:
             makespan = ("makespan", 1.0)
             for (bi, t), var in svars.items():
                 constraints.append(LpConstraint(
-                    f"mk_{var}", (makespan, (var, -float(t + durations[bi]))), ">=", 0.0
+                    f"mk_{var}", (makespan, (var, -float(t + net.durations[bi]))), ">=", 0.0
                 ))
             objective = [makespan]
         elif self.objective == "max_survival":
@@ -502,21 +554,17 @@ class ConstraintSystem:
                 raise PlannerError("max_survival objective needs risk semantics")
             sense = "max"
             # per agent: (column, log survival) of each place that has a risk
-            logs = []
-            for a in agents:
-                ws = [(j, self.risk.place_log(a.color, p)) for j, p in enumerate(places)]
-                logs.append([(j, w) for j, w in ws if w != 0.0])
+            logs = [[(j, w) for j, w in enumerate(ws) if w != 0.0] for ws in net.place_logs]
             for t in range(steps):
                 for row, ws in zip(m[t], logs):
                     objective.extend((row[j], w) for j, w in ws)
-            task_logs = [self.risk.transition_log(b.name) for b in self.bindings]
             for (bi, t), var in svars.items():
-                w = task_logs[bi]
+                w = net.task_logs[bi]
                 if w != 0.0:
                     objective.append((var, w))
 
         if self.fuel is not None:
-            self._fuel_rows(constraints, bounds, svars, m, durations, moves)
+            self._fuel_rows(constraints, bounds, svars, m)
 
         return LpModel(
             sense=sense,
@@ -527,45 +575,29 @@ class ConstraintSystem:
             generals=tuple(generals),
         )
 
-    def _fuel_rows(self, constraints, bounds, svars, m, durations, moves) -> None:
-        fuel, agents, steps = self.fuel, self.agents, self.steps
+    def _fuel_rows(self, constraints, bounds, svars, m) -> None:
+        net, agents, steps = self.net, self.agents, self.steps
         f = self._f_names()
         for k, a in enumerate(agents):
             bounds.append((f[0][k], a.fuel_init, a.fuel_init))
             for t in range(1, steps + 1):
                 bounds.append((f[t][k], a.fuel_min, a.fuel_max))
 
-        # per binding: (agent index, cost) of each mover charged at start,
-        # and the agent index of each mover refuelled at completion
-        costs, receivers = [], []
-        for b, bmoves in zip(self.bindings, moves):
-            charged, refuelled = [], []
-            for k, _, _ in bmoves:
-                color = agents[k].color
-                cost = fuel.cost(b.name, color)
-                if cost:
-                    charged.append((k, cost))
-                if fuel.receives(b.name, color):
-                    refuelled.append(k)
-            costs.append(charged)
-            receivers.append(refuelled)
+        # per (agent, tick): the (start variable, cost) of each task it starts
+        # then, and the start variables of the refuels it completes then
         starts_by_agent: dict[tuple[int, int], list[tuple[str, float]]] = {}
         refuel_done: dict[tuple[int, int], list[str]] = {}
         for (bi, t), var in svars.items():
-            for k, cost in costs[bi]:
+            for k, cost in net.charges[bi]:
                 starts_by_agent.setdefault((k, t), []).append((var, cost))
-            for k in receivers[bi]:
-                refuel_done.setdefault((k, t + durations[bi]), []).append(var)
+            refuelled = net.refuelled[self.bindings[bi].tindex]
+            for k in net.movers[bi]:
+                if k in refuelled:
+                    refuel_done.setdefault((k, t + net.durations[bi]), []).append(var)
 
-        # per agent: (column, burn rate) of each place it burns fuel waiting
-        # at; the plan level erases waiting, so nothing burns there
-        burns: list[list[tuple[int, float]]] = [[] for _ in agents]
-        if self.level is Level.TIMED:
-            for k, a in enumerate(agents):
-                for j, p in enumerate(self.places):
-                    rate = fuel.rate(a.color, p)
-                    if rate:
-                        burns[k].append((j, rate))
+        # per agent: (column, burn rate) of each place it burns fuel waiting at
+        burns = [[(j, rate) for j, rate in enumerate(rates) if rate]
+                 for rates in net.burn or [() for _ in agents]]
         for k, a in enumerate(agents):
             for t in range(steps):
                 # linear part: f_{t+1} = f_t - waiting burn - task costs
@@ -737,7 +769,10 @@ class _Search:
 
     ``run`` is one loop over a stack of child iterators, so no horizon is
     too deep for it: ``_enter`` checks a state, ``_children`` yields its
-    start subsets and ``_apply`` builds each child through ``_step``.
+    start subsets and ``_apply`` builds each child through ``_step``.  A
+    state is ``(t, positions, busy, fuel, schedule, risk_log)``: the tuples
+    over agents of ``_Net``, the ``(start, binding index)`` pairs so far and
+    the log survival so far.
 
     ``memo`` maps each search state (tick, and per agent class the sorted
     agent states) to the best prefix score it was entered with.  A revisit
@@ -745,8 +780,10 @@ class _Search:
     order, already explored an equally good completion or a permuted copy
     of one.  Agents of one colour are interchangeable unless fuel is
     modelled; reserve reasons name agents, so then each agent is its own
-    class.  ``solve_all`` lists every solution, keeps no memo, and stops as
-    soon as its list is full.
+    class.  A task in flight names its transition, not its binding, so that
+    agents of a class flying the same task share an entry.  ``solve_all``
+    lists every solution, keeps no memo, and stops as soon as its list is
+    full.
     """
 
     def __init__(self, cs: ConstraintSystem, node_cap: int, collect_all: int | None = None):
@@ -759,13 +796,11 @@ class _Search:
         self.all: list[Solution] = []
         self.deepest = -1
         self.conflicts: set[str] = set()
-        self.color_of = {a.id: a.color for a in cs.agents}
-        self.agents_by_id = {a.id: a for a in cs.agents}
-        self.durations = [cs.duration(b) for b in cs.bindings]
+        self.net = cs.net
         self.memo: dict | None = {} if collect_all is None else None
-        classes: dict[str, list[str]] = {}
-        for a in cs.agents:
-            classes.setdefault(a.color if cs.fuel is None else a.id, []).append(a.id)
+        classes: dict[str, list[int]] = {}
+        for k, a in enumerate(cs.agents):
+            classes.setdefault(a.color if cs.fuel is None else a.id, []).append(k)
         self.classes = tuple(classes.values())
 
     # conflict bookkeeping keeps only the deepest frontier
@@ -776,38 +811,30 @@ class _Search:
         elif t == self.deepest:
             self.conflicts.add(reason)
 
-    def _check_reserve(self, fuel: dict[str, float], t: int) -> str | None:
-        for agent, level in fuel.items():
-            reserve = self.agents_by_id[agent].fuel_min
-            if level < reserve - 1e-9:
-                return f"fuel of {agent} below reserve at step {t} ({level:g} < {reserve:g})"
+    def _check_reserve(self, fuel: tuple[float, ...], t: int) -> str | None:
+        for a, level in zip(self.net.agents, fuel):
+            if level < a.fuel_min - 1e-9:
+                return f"fuel of {a.id} below reserve at step {t} ({level:g} < {a.fuel_min:g})"
         return None
 
-    def startable(self, positions: Mapping[str, str | None], t: int) -> list[int]:
-        out = []
-        for bi, b in enumerate(self.cs.bindings):
-            if t + self.durations[bi] > self.cs.steps:
-                continue
-            if all(positions.get(agent) == src for agent, src, _ in b.moves):
-                out.append(bi)
-        return out
+    def startable(self, positions: tuple[int, ...], t: int) -> list[int]:
+        left = self.cs.steps - t
+        return [bi for bi, (d, moves) in enumerate(zip(self.net.durations, self.net.moves))
+                if d <= left and all(positions[k] == src for k, src, _ in moves)]
 
-    def goal_met(self, positions: Mapping[str, str | None]) -> str | None:
+    def goal_met(self, positions: tuple[int, ...]) -> str | None:
+        net = self.net
         for (place, color), want in sorted(self.cs.goal.items()):
-            have = sum(
-                1
-                for agent, p in positions.items()
-                if p == place and self.color_of[agent] == color
-            )
+            j = net.column[place]
+            have = sum(1 for a, p in zip(net.agents, positions) if p == j and a.color == color)
             if have < want:
                 return f"goal {color}@{place} >= {want} unmet (have {have})"
         return None
 
     def run(self):
-        positions: dict[str, str | None] = {a.id: a.start for a in self.cs.agents}
-        fuel = {a.id: a.fuel_init for a in self.cs.agents} if self.cs.fuel else None
         limit = math.inf if self.collect_all is None else self.collect_all
-        stack = [iter([(0, positions, {}, fuel, [], 0.0)])]  # iterators over child states
+        net = self.net  # the stack holds iterators over child states
+        stack = [iter([(0, net.starts, net.idle, net.fuel_init, [], 0.0)])]
         while stack and len(self.all) < limit:
             state = next(stack[-1], None)
             if state is None:
@@ -827,7 +854,7 @@ class _Search:
         return self.best[1]
 
     def _makespan(self, schedule) -> float:
-        return float(max((t + self.durations[bi] for t, bi in schedule), default=0))
+        return float(max((t + self.net.durations[bi] for t, bi in schedule), default=0))
 
     def _score(self, schedule, risk_log) -> float:
         if self.cs.objective == "min_makespan":
@@ -845,8 +872,7 @@ class _Search:
         score = self._score(schedule, risk_log)
         if self.collect_all is None and not self._better(score):
             return
-        sol = _replay(cs.template, cs.agents, cs.level, cs.steps,
-                      [(t, cs.bindings[bi]) for t, bi in schedule], cs.fuel,
+        sol = _replay(self.net, cs.steps, schedule,
                       objective_value=None if cs.objective == "feasible"
                       else -score if cs.objective == "max_survival" else score)
         if self.collect_all is not None:
@@ -881,8 +907,8 @@ class _Search:
         if self.memo is not None:
             key = [t]  # flat: every class has a fixed size and every state three fields
             for group in self.classes:
-                for state in sorted((positions[a] or "", busy.get(a, ()),
-                                     fuel[a] if fuel is not None else 0.0) for a in group):
+                for state in sorted((positions[k], busy[k],
+                                     fuel[k] if fuel is not None else 0.0) for k in group):
                     key += state
             key = tuple(key)
             score = self._score(schedule, risk_log)
@@ -891,7 +917,7 @@ class _Search:
                 return None
             self.memo[key] = score
         if t == self.cs.steps:
-            unmet = "tasks still running at the horizon" if busy else self.goal_met(positions)
+            unmet = "tasks still running at the horizon" if any(busy) else self.goal_met(positions)
             if unmet is None:
                 self._record(schedule, risk_log)
             else:
@@ -907,21 +933,21 @@ class _Search:
             chosen, i, used = stack.pop()
             yield chosen
             for j in range(len(options) - 1, i - 1, -1):  # pushed reversed, popped ascending
-                agents = self.cs.bindings[options[j]].agents
+                agents = self.net.movers[options[j]]
                 if used.isdisjoint(agents):
                     stack.append((chosen + (options[j],), j + 1, used.union(agents)))
 
     def _apply(self, t, positions, busy, fuel, schedule, risk_log, started):
-        """The child state after starting ``started`` at ``t``."""
-        cs = self.cs
-        if cs.risk is not None:
-            for agent, place in positions.items():
-                if place is not None:
-                    risk_log += cs.risk.place_log(self.color_of[agent], place)
+        """The child state after starting ``started`` at ``t``; risk adds the
+        place logs in fleet order, then the task logs in started order."""
+        net = self.net
+        if net.risk is not None:
+            for logs, j in zip(net.place_logs, positions):
+                if j >= 0:
+                    risk_log += logs[j]
             for bi in started:
-                risk_log += cs.risk.transition_log(cs.bindings[bi].name)
-        positions, busy, fuel = _step(cs.level, cs.fuel, self.agents_by_id, positions, busy,
-                                      fuel, t, [cs.bindings[bi] for bi in started])
+                risk_log += net.task_logs[bi]
+        positions, busy, fuel = _step(net, positions, busy, fuel, t, started)
         return t + 1, positions, busy, fuel, schedule + [(t, bi) for bi in started], risk_log
 
 
@@ -947,73 +973,66 @@ def solve_all(cs: ConstraintSystem, limit: int, node_cap: int = DEFAULT_NODE_CAP
 # level changes
 
 
-def _step(level: Level, fuel_spec: FuelSpec | None, agents_by_id: Mapping[str, Agent],
-          positions, busy, fuel, t: int, started_bindings):
+def _step(net: _Net, positions, busy, fuel, t: int, started):
     """One tick from t to t + 1: the firing rule of the search and of every replay.
 
-    Starts the tasks; under fuel charges the waiting burn (timed level, at the
-    places held before the starts), then the task costs, then the clamp; lands
-    completions at t + 1, where a refuelling task fills the tank.  Returns the
-    new (positions, busy, fuel), or None when a mover is away from its source.
+    Takes and returns the tuples over agents of ``net`` (positions, busy,
+    fuel or None) and starts the binding indices ``started``.  Under fuel it
+    charges per agent the waiting burn (timed level, at the columns held
+    before the starts), then the task costs, then the clamp; it lands
+    completions at t + 1, where a refuelling transition fills the tank.
+    Returns None when a mover is away from its source.
     """
-    new_positions = dict(positions)
-    new_busy = dict(busy)
-    for b in started_bindings:
-        for agent, src, dst in b.moves:
-            if new_positions.get(agent) != src:
+    after, busy = list(positions), list(busy)
+    for bi in started:
+        release, via = t + net.durations[bi], net.bindings[bi].tindex
+        for k, src, dst in net.moves[bi]:
+            if after[k] != src:
                 return None
-            new_positions[agent] = None
-            new_busy[agent] = (t + _duration(level, b), dst, b.name)
-    new_fuel = dict(fuel) if fuel is not None else None
-    if new_fuel is not None:
-        if level is Level.TIMED:
-            for agent, place in positions.items():
-                if place is not None:
-                    new_fuel[agent] -= fuel_spec.rate(agents_by_id[agent].color, place)
-        for b in started_bindings:
-            for agent, _, _ in b.moves:
-                cost = fuel_spec.cost(b.name, agents_by_id[agent].color)
-                if cost:
-                    new_fuel[agent] -= cost
-        clamp = max if fuel_spec.literal_update else min
-        for agent in new_fuel:
-            new_fuel[agent] = clamp(new_fuel[agent], agents_by_id[agent].fuel_max)
-    for agent, (release, dst, via) in list(new_busy.items()):
-        if release == t + 1:
-            new_positions[agent] = dst
-            del new_busy[agent]
-            if new_fuel is not None and fuel_spec.receives(via, agents_by_id[agent].color):
-                new_fuel[agent] = agents_by_id[agent].fuel_max
-    return new_positions, new_busy, new_fuel
+            after[k] = -1
+            busy[k] = (release, dst, via)
+    if fuel is not None:
+        fuel = list(fuel)
+        if net.burn is not None:
+            for k, j in enumerate(positions):
+                if j >= 0:
+                    fuel[k] -= net.burn[k][j]
+        for bi in started:
+            for k, cost in net.charges[bi]:
+                fuel[k] -= cost
+        clamp = max if net.fuel.literal_update else min
+        fuel = [clamp(level, a.fuel_max) for level, a in zip(fuel, net.agents)]
+    for k, task in enumerate(busy):
+        if task and task[0] == t + 1:
+            after[k], busy[k] = task[1], ()
+            if fuel is not None and k in net.refuelled[task[2]]:
+                fuel[k] = net.agents[k].fuel_max
+    return tuple(after), tuple(busy), None if fuel is None else tuple(fuel)
 
 
-def _replay(template, agents, level: Level, steps: int, schedule, fuel_spec: FuelSpec | None = None,
-            objective_value: float | None = None) -> Solution | None:
-    """Re-run a (start, binding) schedule through ``_step``, keeping its order.
+def _replay(net: _Net, steps: int, schedule, objective_value: float | None = None) -> Solution | None:
+    """Re-run a (start, binding index) schedule through ``_step``, keeping its order.
 
     None when some task finds an agent away from its source, or is still
-    running at ``steps``.  With ``fuel_spec`` the solution carries the fuel
-    trace; reserves are the search's to check.
+    running at ``steps``.  Under the table's fuel semantics the solution
+    carries the fuel trace; reserves are the search's to check.
     """
-    agents_by_id = {a.id: a for a in agents}
-    positions = {a.id: a.start for a in agents}
-    busy: dict[str, tuple[int, str, str]] = {}
-    fuel = {a.id: a.fuel_init for a in agents} if fuel_spec is not None else None
-    markings = [TypeVector.of(positions)]
-    trace = [tuple(sorted(fuel.items()))] if fuel is not None else None
+    positions, busy, fuel = net.starts, net.idle, net.fuel_init
+    markings = [net.marking(positions)]
+    trace = [net.fuel_row(fuel)] if fuel is not None else None
     for t in range(steps):
-        state = _step(level, fuel_spec, agents_by_id, positions, busy, fuel, t,
-                      [b for s, b in schedule if s == t])
+        state = _step(net, positions, busy, fuel, t, [bi for s, bi in schedule if s == t])
         if state is None:
             return None
         positions, busy, fuel = state
-        markings.append(TypeVector.of(positions))
+        markings.append(net.marking(positions))
         if trace is not None:
-            trace.append(tuple(sorted(fuel.items())))
-    if busy:
+            trace.append(net.fuel_row(fuel))
+    if any(busy):
         return None
-    return Solution(level=level, steps=steps, template=template, agents=tuple(agents),
-                    schedule=tuple(schedule), markings=tuple(markings),
+    return Solution(level=net.level, steps=steps, template=net.template, agents=net.agents,
+                    schedule=tuple((t, net.bindings[bi]) for t, bi in schedule),
+                    markings=tuple(markings),
                     fuel_trace=None if trace is None else tuple(trace),
                     objective_value=objective_value)
 
@@ -1028,7 +1047,8 @@ def project(sol: Solution | CountsSolution, to_level: Level):
     if sol.level is Level.TIMED:
         rank = {t: j for j, t in enumerate(sorted({t for t, _ in sol.schedule}))}
         schedule = sorted(((rank[t], b) for t, b in sol.schedule), key=lambda jb: jb[0])
-        plan = _replay(sol.template, sol.agents, Level.PLAN, len(rank), schedule)
+        net = _Net(Level.PLAN, sol.template, sol.agents, [b for _, b in schedule])
+        plan = _replay(net, len(rank), [(j, bi) for bi, (j, _) in enumerate(schedule)])
         if plan is None:
             raise PlannerError("projection produced an infeasible plan")
         if to_level is Level.PLAN:
@@ -1037,15 +1057,9 @@ def project(sol: Solution | CountsSolution, to_level: Level):
 
     # plan -> counts
     color_of = {a.id: a.color for a in sol.agents}
-    fleet: dict[str, int] = {}
-    for a in sol.agents:
-        fleet[a.color] = fleet.get(a.color, 0) + 1
-    sched: dict[tuple[int, str], int] = {}
-    for j, b in sol.schedule:
-        sched[(j, b.name)] = sched.get((j, b.name), 0) + 1
-    markings = tuple(
-        tuple(sorted(tv.counts(color_of).items())) for tv in sol.markings
-    )
+    fleet = Counter(a.color for a in sol.agents)
+    sched = Counter((j, b.name) for j, b in sol.schedule)
+    markings = tuple(tuple(sorted(tv.counts(color_of).items())) for tv in sol.markings)
     counts = CountsSolution(
         steps=sol.steps,
         template=sol.template,
@@ -1138,15 +1152,12 @@ def lift(
 
 
 def _lift_counts_to_plan(counts: CountsSolution, agents: tuple[Agent, ...], cap: int) -> LiftResult:
-    fleet: dict[str, int] = {}
-    for a in agents:
-        fleet[a.color] = fleet.get(a.color, 0) + 1
-    if tuple(sorted(fleet.items())) != counts.fleet:
+    if tuple(sorted(Counter(a.color for a in agents).items())) != counts.fleet:
         raise PlannerError("fleet colors do not match the counts solution")
-    bindings = enumerate_bindings(counts.template, agents)
-    by_name: dict[str, list[TaskBinding]] = {}
-    for b in bindings:
-        by_name.setdefault(b.name, []).append(b)
+    net = _Net(Level.PLAN, counts.template, agents, enumerate_bindings(counts.template, agents))
+    by_name: dict[str, list[int]] = {}
+    for bi, b in enumerate(net.bindings):
+        by_name.setdefault(b.name, []).append(bi)
 
     steps = len(counts.markings) - 1
     out: list[Solution] = []
@@ -1155,25 +1166,16 @@ def _lift_counts_to_plan(counts: CountsSolution, agents: tuple[Agent, ...], cap:
     def step_options(positions, j):
         """All ways to realize step j's transition multiset with agents."""
         fired = sorted((name, k) for (t, name, k) in counts.schedule if t == j)
-        choices: list[list[list[TaskBinding]]] = []
+        choices: list[list[list[int]]] = []
         for name, k in fired:
-            usable = [
-                b
-                for b in by_name.get(name, [])
-                if all(positions.get(agent) == src for agent, src, _ in b.moves)
-            ]
-            sets = [
-                list(combo)
-                for combo in itertools.combinations(usable, k)
-                if _disjoint(combo)
-            ]
-            choices.append(sets)
+            usable = [bi for bi in by_name.get(name, [])
+                      if all(positions[a] == src for a, src, _ in net.moves[bi])]
+            choices.append([list(combo) for combo in itertools.combinations(usable, k)
+                            if _disjoint(net, combo)])
         for combo in itertools.product(*choices):
-            batch = [b for group in combo for b in group]
-            if _disjoint(batch):
+            batch = [bi for group in combo for bi in group]
+            if _disjoint(net, batch):
                 yield batch
-
-    agents_by_id = {a.id: a for a in agents}
 
     def walk(j, positions, batches):
         nonlocal truncated
@@ -1181,38 +1183,30 @@ def _lift_counts_to_plan(counts: CountsSolution, agents: tuple[Agent, ...], cap:
             truncated = True
             return
         if j == steps:
-            schedule = [(k, b) for k, batch in enumerate(batches) for b in batch]
-            plan = _replay(counts.template, agents, Level.PLAN, steps, schedule)
-            if plan is not None and _counts_match(plan, counts):
+            schedule = [(k, bi) for k, batch in enumerate(batches) for bi in batch]
+            plan = _replay(net, steps, schedule)
+            if plan is not None and project(plan, Level.COUNTS).schedule == counts.schedule:
                 out.append(plan)
             return
         for batch in step_options(positions, j):
-            next_pos, _, _ = _step(Level.PLAN, None, agents_by_id, positions, {}, None, j, batch)
+            next_pos, _, _ = _step(net, positions, net.idle, None, j, batch)
             walk(j + 1, next_pos, batches + [batch])
 
-    walk(0, {a.id: a.start for a in agents}, [])
+    walk(0, net.starts, [])
     return LiftResult(tuple(out), truncated)
 
 
-def _disjoint(batch) -> bool:
-    seen: set[str] = set()
-    for b in batch:
-        for agent in b.agents:
-            if agent in seen:
-                return False
-            seen.add(agent)
-    return True
-
-
-def _counts_match(plan: Solution, counts: CountsSolution) -> bool:
-    return project(plan, Level.COUNTS).schedule == counts.schedule
+def _disjoint(net: _Net, batch) -> bool:
+    movers = [k for bi in batch for k in net.movers[bi]]
+    return len(set(movers)) == len(movers)
 
 
 def _lift_plan_to_timed(plan: Solution, horizon: int, cap: int) -> LiftResult:
     """Choose strictly increasing start times for each batch of the plan."""
-    batches: dict[int, list[TaskBinding]] = {}
-    for j, b in plan.schedule:
-        batches.setdefault(j, []).append(b)
+    net = _Net(Level.TIMED, plan.template, plan.agents, [b for _, b in plan.schedule])
+    batches: dict[int, list[int]] = {}
+    for bi, (j, _) in enumerate(plan.schedule):
+        batches.setdefault(j, []).append(bi)
     ordered = [batches[j] for j in sorted(batches)]
 
     out: list[Solution] = []
@@ -1225,14 +1219,14 @@ def _lift_plan_to_timed(plan: Solution, horizon: int, cap: int) -> LiftResult:
             return
         if j == len(ordered):
             schedule = sorted(
-                ((starts[k], b) for k, batch in enumerate(ordered) for b in batch),
-                key=lambda tb: (tb[0], tb[1].tindex, tb[1].agents),
+                ((starts[k], bi) for k, batch in enumerate(ordered) for bi in batch),
+                key=lambda tb: (tb[0], net.bindings[tb[1]].tindex, net.bindings[tb[1]].agents),
             )
-            sol = _replay(plan.template, plan.agents, Level.TIMED, horizon, schedule)
+            sol = _replay(net, horizon, schedule)
             if sol is not None and _schedule_key(project(sol, Level.PLAN)) == _schedule_key(plan):
                 out.append(sol)
             return
-        max_d = max(b.duration for b in ordered[j])
+        max_d = max(net.durations[bi] for bi in ordered[j])
         for t in range(earliest, horizon - max_d + 1):
             choose(j + 1, t + 1, starts + [t])
 

@@ -53,6 +53,8 @@ from .options import METHODS
 from .template import NetworkTemplate
 
 COST_EPS = 1e-6
+T_INITIAL = 0.02  # annealing: starting (and reheat) temperature
+COOLING = 0.995  # annealing: temperature factor per step
 
 # a carry tree is (kind, children) with children a tuple of carry trees
 Tree = tuple
@@ -156,11 +158,11 @@ class SearchConfig:
     population: int = 24
     generations: int = 40
     mutation_rate: float = 0.4
-    t_initial: float = 0.02
-    cooling: float = 0.995
     elite: int = 2
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.budget):
+            raise SynthesisError(f"budget must be a finite number, got {self.budget!r}")
         if self.budget < 0:
             raise SynthesisError("budget must be >= 0")
         if self.max_nodes < 0:
@@ -173,8 +175,6 @@ class SearchConfig:
             raise SynthesisError("elite must fit inside the population")
         if not (0.0 <= self.mutation_rate <= 1.0):
             raise SynthesisError("mutation_rate must be a probability")
-        if not (0.0 < self.cooling <= 1.0) or self.t_initial <= 0:
-            raise SynthesisError("cooling schedule must be positive")
 
 
 def _substream(seed: int, label: str) -> random.Random:
@@ -638,14 +638,14 @@ def _search_anneal(ev, config):
     rng = _substream(config.seed, "anneal")
     current = EMPTY
     best = EMPTY
-    temperature = config.t_initial
+    temperature = T_INITIAL
     restart_after = max(40, config.iterations // 10)
     stalled = 0
     audit = [ev.audit_record(current, step=0, accepted=True, temperature=temperature)]
     for step in range(1, config.iterations + 1):
         if stalled >= restart_after:  # reheat from a fresh random design
             current = _random_design(rng, ev, config)
-            temperature = config.t_initial
+            temperature = T_INITIAL
             stalled = 0
         proposal = mutate(current, rng, ev, config)
         delta = ev.score(proposal) - ev.score(current)
@@ -662,7 +662,7 @@ def _search_anneal(ev, config):
                 proposal, step=step, accepted=accepted, temperature=temperature
             )
         )
-        temperature = max(temperature * config.cooling, 1e-12)
+        temperature = max(temperature * COOLING, 1e-12)
     audit.append(ev.audit_record(best, selected=True))
     return best, audit
 

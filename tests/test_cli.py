@@ -380,6 +380,31 @@ class TestSynthesize:
         assert code == 1
         assert "--budget" in err
 
+    @pytest.mark.parametrize("budget", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("bare", [False, True], ids=["task", "bare"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+    def test_non_finite_budget_flag_is_rejected(self, capsys, tmp_path, budget, bare, as_json):
+        # A full task file and a bare scenario must agree: the flag overrides
+        # the parsed budget, and no budget may be NaN or infinite.
+        task = DATA / "sailboat_synthesis.json"
+        if bare:
+            scenario = json.loads(task.read_text())["scenario"]
+            task = tmp_path / "scenario.json"
+            task.write_text(json.dumps(scenario))
+        code, out, err = run(
+            capsys, *(["--json"] if as_json else []), "synthesize",
+            str(DATA / "sailboat_template.json"), str(DATA / "sailboat_catalog.json"),
+            str(task), "--budget", budget,
+        )
+        assert code == 1
+        assert "budget" in err and "finite" in err
+        if as_json:
+            doc = json.loads(out)
+            assert doc["ok"] is False
+            assert "budget" in doc["error"] and "finite" in doc["error"]
+        else:
+            assert out == ""
+
 
 def write_json(tmp_path, name, data):
     path = tmp_path / name

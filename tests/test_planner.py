@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -996,3 +997,35 @@ def test_node_cap_stops_child_builds(rescue, monkeypatch):
             assert isinstance(result, Undecided)
             assert result.nodes_explored == cap
             assert builds <= cap + 1
+
+
+def _outcome_dict(outcome) -> dict:
+    """``to_dict()`` of any solver outcome, with an undecided run's best solution."""
+    if isinstance(outcome, Undecided):
+        best = outcome.best_found
+        return {**outcome.to_dict(), "best": None if best is None else best.to_dict()}
+    return outcome.to_dict()
+
+
+def test_library_planner_outputs_are_pinned(rescue):
+    # No golden file covers the library calls: solve at the default and at a
+    # small cap, solve_all, and both lift directions.  Any change to these
+    # answers, node counts included, changes the digest.
+    rng = random.Random(20261022)
+    digest = hashlib.sha256()
+    for _ in range(120):
+        cs = memo_instance(rng, rescue)
+        cap = rng.randint(3, 60)
+        sol = solve(cs)
+        out = [_outcome_dict(sol), _outcome_dict(solve(cs, node_cap=cap))]
+        listed = solve_all(cs, limit=6)
+        out.append([_outcome_dict(x) for x in listed] if isinstance(listed, list)
+                   else _outcome_dict(listed))
+        if isinstance(sol, Solution):
+            plan = project(sol, Level.PLAN) if sol.level is Level.TIMED else sol
+            timed = lift(plan, Level.TIMED, horizon=cs.steps, cap=8)
+            plans = lift(project(plan, Level.COUNTS), Level.PLAN, agents=cs.agents, cap=8)
+            out += [[x.to_dict() for x in lifted.solutions] + [lifted.truncated]
+                    for lifted in (timed, plans)]
+        digest.update(json.dumps(out, sort_keys=True).encode())
+    assert digest.hexdigest() == "66e2b8129e14529707c5ba82753075d96f687b461340b38191b0d4aca556e5ac"

@@ -300,6 +300,11 @@ class TestConfigAndTask:
         with pytest.raises(SynthesisError, match="elite"):
             SearchConfig(budget=0.0, population=4, elite=5)
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+    def test_budget_must_be_finite(self, budget):
+        with pytest.raises(SynthesisError, match="finite"):
+            SearchConfig(budget=budget)
+
     def test_parse_task(self):
         task = parse_synthesis_task(
             {
